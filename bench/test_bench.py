@@ -74,6 +74,18 @@ def test_percentile_keeps_ten_beyond():
     assert bench.percentile(values, 50.0) == (100.0, 100)
 
 
+def test_times_scale_by_host_speed():
+    rows = [(0, "mrt", 0.0, 0.5, 0, 2.0), (0, "random-bf", 0.0, 0.4, 0, 1.0)]
+    fast = bench.Batch(master_seed=0, workers=1, sweeps={}, wall_s=2.0, attempted=2,
+                       rows=rows, speed=1.0)
+    slow = bench.Batch(master_seed=1, workers=1, sweeps={}, wall_s=4.0, attempted=2,
+                       rows=rows, speed=0.5)
+    assert bench.solves_per_s([fast, slow]) == 1.0
+    assert bench.solves_per_s([fast, slow], scaled=False) == 4 / 6
+    assert bench.task_ms([fast, slow]) == [1.5, 3.0]
+    assert bench.task_ms([fast, slow], scaled=False) == [3.0, 3.0]
+
+
 def test_benchmark_json_matches_the_metrics_the_runner_prints():
     spec = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
     assert {w["name"] for w in spec["workloads"]} == set(bench.WORKLOADS)
