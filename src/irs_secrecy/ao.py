@@ -147,8 +147,8 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
             sol, gap = cand, cand_gap
 
         coef = ratio_coefficients(ch, sol)
-        x_new, _, _ = dinkelbach_solve(coef, cfg)
-        cand = replace(sol, onoff=np.asarray(x_new, dtype=int))
+        x_new, _ = dinkelbach_solve(coef, cfg)
+        cand = replace(sol, onoff=x_new)
         cand_gap = rate_gap(ch, cand, cfg)
         if cand_gap >= gap:
             sol, gap = cand, cand_gap

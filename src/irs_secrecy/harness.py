@@ -83,28 +83,31 @@ def default_sweeps() -> dict:
     }
 
 
+# Keys a JSON config may hold, besides the sweep grids of default_sweeps().
+_CONFIG_KEYS = ("n_tx", "n_refl", "n_irs", "pathloss_exponent", "pathloss_ref_db",
+                "paths_ap_irs", "paths_irs_user", "paths_irs_eve", "seed",
+                "ap_position", "irs_positions", "user_position", "eve_position")
+_DBM_KEYS = {"noise_user_dbm": "noise_user", "noise_eve_dbm": "noise_eve",
+             "power_dbm": "power_budget"}
+
+
 def load_config(path: str | None):
     """Build (SystemConfig, sweeps) from a JSON file; missing keys keep the
-    built-in defaults. Power-like entries are given in dBm in the file and
-    converted to watts here, at the boundary."""
+    built-in defaults and unknown keys are rejected. Power-like entries are
+    given in dBm in the file and converted to watts here, at the boundary."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    kwargs = {}
-    for key in ("n_tx", "n_refl", "n_irs", "pathloss_exponent", "pathloss_ref_db",
-                "paths_ap_irs", "paths_irs_user", "paths_irs_eve", "seed",
-                "ap_position", "irs_positions", "user_position", "eve_position"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "noise_user_dbm" in raw:
-        kwargs["noise_user"] = dbm_to_watt(raw["noise_user_dbm"])
-    if "noise_eve_dbm" in raw:
-        kwargs["noise_eve"] = dbm_to_watt(raw["noise_eve_dbm"])
-    if "power_dbm" in raw:
-        kwargs["power_budget"] = dbm_to_watt(raw["power_dbm"])
-    cfg = SystemConfig(**kwargs)
     sweeps = default_sweeps()
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - set(_DBM_KEYS) - set(sweeps))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    kwargs = {key: raw[key] for key in _CONFIG_KEYS if key in raw}
+    for key, name in _DBM_KEYS.items():
+        if key in raw:
+            kwargs[name] = dbm_to_watt(raw[key])
+    cfg = SystemConfig(**kwargs)
     for key in sweeps:
         if key in raw:
             sweeps[key] = list(raw[key])
@@ -241,6 +244,8 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         raise ValueError(f"unknown experiment {experiment!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     sweeps = {**default_sweeps(), **(sweeps or {})}
     master_seed = cfg.seed if master_seed is None else int(master_seed)
     schemes = tuple(schemes) if schemes else (

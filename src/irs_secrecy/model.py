@@ -26,6 +26,9 @@ __all__ = [
     "secrecy_rate",
 ]
 
+# Largest surface count: on/off selection enumerates all 2^n_irs patterns.
+MAX_SURFACES = 24
+
 # Feasibility slacks used by SolutionState.validate.
 POWER_TOL = 1e-9
 MODULUS_TOL = 1e-9
@@ -87,6 +90,9 @@ class SystemConfig:
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.n_irs > MAX_SURFACES:
+            raise ValueError(f"n_irs must be <= {MAX_SURFACES} for exact on/off "
+                             f"selection, got {self.n_irs}")
         for name in ("noise_user", "noise_eve", "power_budget"):
             val = float(getattr(self, name))
             if not (np.isfinite(val) and val > 0.0):

@@ -1,39 +1,40 @@
-"""Binary surface-selection optimization for a fixed beamformer and phases.
+"""Binary surface selection for a fixed beamformer and phases.
 
 With w and theta frozen, every surface contributes one complex amplitude per
-receiver, so the user and eavesdropper signal powers become binary quadratics:
+receiver (v_l to the user, u_l to the eavesdropper), and a selection x in
+{0,1}^L scales the secrecy-rate argument to the ratio
+
+    N(x)/D(x) = (1 + |sum_l x_l v_l|^2 / s2) / (1 + |sum_l x_l u_l|^2 / s2e).
+
+dinkelbach_solve maximizes it exactly by enumerating all 2^L subset sums of
+the amplitudes, built by doubling, so each selection costs O(1) rather than
+O(L). The certification oracle takes an independent route: it expands both
+powers into binary quadratics,
 
     |sum_l x_l v_l|^2 = sum_l C_l x_l + sum_{l>m} C_lm x_l x_m,
 
-with C_l = |v_l|^2 and C_lm = 2 Re(v_l v_m*), and D analogously for the
-eavesdropper. The objective is the ratio
-N(x)/D(x) = (1 + user_quad/s2) / (1 + eve_quad/s2e), maximized over x in
-{0,1}^L via Dinkelbach's parametric iteration. The inner maximization of
-N - lam * D uses a Lagrange dual of the McCormick-linearized program
-(threshold rules on per-surface scores, subgradient multiplier updates),
-safeguarded by a deterministic one-bit-flip local search; an exhaustive
-inner mode and a standalone enumeration oracle certify the result.
+with C_l = |v_l|^2 and C_lm = 2 Re(v_l v_m*), and scans every selection of
+that quadratic form.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelSet, SolutionState, SystemConfig
+from .model import MAX_SURFACES, ChannelSet, SolutionState, SystemConfig
 
 __all__ = [
     "RatioCoefficients",
-    "DualState",
     "ratio_coefficients",
     "quadratic_value",
     "ratio_value",
-    "dual_coordinate_update",
-    "subgradient_update",
     "dinkelbach_solve",
     "brute_force_onoff",
 ]
 
-BRUTE_FORCE_MAX_L = 24
+# Subset sums are combined in blocks of at most 2^BLOCK_BITS selections, which
+# bounds memory at the MAX_SURFACES cap.
+BLOCK_BITS = 15
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,18 @@ class RatioCoefficients:
 
     c_lin[l] and d_lin[l] are the nonnegative self-gains; c_cross[l, m] and
     d_cross[l, m] (strictly lower triangular, m < l) carry 2 Re of the complex
-    cross products so the binary expansion is exact.
+    cross products so the binary expansion is exact. v_user and v_eve are the
+    per-surface complex amplitudes the expansion was built from, which
+    dinkelbach_solve enumerates; instances that only feed the quadratic-form
+    oracle may leave them out.
     """
 
     c_lin: np.ndarray
     c_cross: np.ndarray
     d_lin: np.ndarray
     d_cross: np.ndarray
+    v_user: np.ndarray | None = None
+    v_eve: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("c_lin", "c_cross", "d_lin", "d_cross"):
@@ -66,38 +72,12 @@ class RatioCoefficients:
         return len(self.c_lin)
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Multipliers of the three McCormick constraints (lower triangular,
-    m < l), the current ratio parameter, and the subgradient base step."""
-
-    mult1: np.ndarray
-    mult2: np.ndarray
-    mult3: np.ndarray
-    dink_param: float
-    step0: float = 0.1
-
-    def __post_init__(self):
-        for name in ("mult1", "mult2", "mult3"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError("multipliers must be nonnegative")
-            object.__setattr__(self, name, arr)
-        if not self.dink_param >= 1.0:
-            raise ValueError("ratio parameter must be >= 1")
-
-    @classmethod
-    def zeros(cls, n_irs: int, dink_param: float, step0: float = 0.1) -> "DualState":
-        z = np.zeros((n_irs, n_irs))
-        return cls(mult1=z, mult2=z.copy(), mult3=z.copy(),
-                   dink_param=dink_param, step0=step0)
-
-
 def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
-    """Expand the signal-power quadratics of the current (w, theta).
+    """Per-surface amplitudes of the current (w, theta),
+    v_user[l] = h_l^H diag(theta_l) G_l w and likewise for the eavesdropper,
+    with the expansion of both signal-power quadratics.
 
-    The on/off entries of sol are ignored; selection happens through x in the
-    quadratic itself.
+    The on/off entries of sol are ignored; selection happens through x.
     """
     theta = sol.phase_blocks(ch.n_refl)
     gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)  # G_l w per surface
@@ -111,8 +91,62 @@ def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
 
     c_lin, c_cross = expand(v_user)
     d_lin, d_cross = expand(v_eve)
-    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross,
-                             d_lin=d_lin, d_cross=d_cross)
+    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross, d_lin=d_lin,
+                             d_cross=d_cross, v_user=v_user, v_eve=v_eve)
+
+
+def _subset_sums(v_user, v_eve, surfaces, n):
+    """Sums of both amplitude vectors over every subset of `surfaces`, built
+    by doubling (bit k of the index = k-th listed surface), with each
+    subset's tie-break key: active count * 2^n + sum of 2^(n-1-l) over its
+    surfaces l, so smaller keys have fewer active surfaces, then come first
+    lexicographically."""
+    s_user = np.zeros(1, dtype=complex)
+    s_eve = np.zeros(1, dtype=complex)
+    key = np.zeros(1, dtype=np.int64)
+    for l in surfaces:
+        s_user = np.concatenate((s_user, s_user + v_user[l]))
+        s_eve = np.concatenate((s_eve, s_eve + v_eve[l]))
+        key = np.concatenate((key, key + ((1 << n) + (1 << (n - 1 - l)))))
+    return s_user, s_eve, key
+
+
+def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
+    """Exact maximizer of the ratio N(x)/D(x) over all 2^L on/off selections,
+    from the amplitudes coef.v_user and coef.v_eve.
+
+    The low min(L, BLOCK_BITS) surfaces and the remaining high surfaces are
+    enumerated separately; each block adds one high subset sum to all low
+    ones. Exact ties break like brute_force_onoff: fewest active surfaces,
+    then lexicographically. Returns (x, ratio); refuses L > MAX_SURFACES.
+    The name is the key under which bench/ traces the on/off layer; no
+    Dinkelbach parameter iteration is needed once the ratio is enumerated.
+    """
+    if coef.v_user is None or coef.v_eve is None:
+        raise ValueError("selection needs the per-surface amplitudes")
+    n = coef.n_irs
+    if n > MAX_SURFACES:
+        raise ValueError(f"exact selection limited to L <= {MAX_SURFACES}")
+    n_lo = min(n, BLOCK_BITS)
+    lo_user, lo_eve, lo_key = _subset_sums(coef.v_user, coef.v_eve, range(n_lo), n)
+    hi_user, hi_eve, hi_key = _subset_sums(coef.v_user, coef.v_eve, range(n_lo, n), n)
+    best_ratio, best_key, best_code = -np.inf, 0, 0
+    for j in range(len(hi_key)):
+        s_user = lo_user + hi_user[j]
+        s_eve = lo_eve + hi_eve[j]
+        num = 1.0 + (s_user.real ** 2 + s_user.imag ** 2) / cfg.noise_user
+        den = 1.0 + (s_eve.real ** 2 + s_eve.imag ** 2) / cfg.noise_eve
+        ratio = num / den
+        top = ratio.max()
+        if top < best_ratio:
+            continue
+        tied = np.flatnonzero(ratio == top)
+        keys = lo_key[tied] + hi_key[j]
+        k = int(np.argmin(keys))
+        if top > best_ratio or keys[k] < best_key:
+            best_ratio, best_key = float(top), int(keys[k])
+            best_code = (j << n_lo) | int(tied[k])
+    return (best_code >> np.arange(n)) & 1, best_ratio
 
 
 def quadratic_value(lin: np.ndarray, cross: np.ndarray, x: np.ndarray) -> float:
@@ -128,132 +162,10 @@ def ratio_value(coef: RatioCoefficients, x: np.ndarray, cfg: SystemConfig) -> fl
     return num / den
 
 
-def _g_value(coef: RatioCoefficients, x: np.ndarray, lam: float,
-             cfg: SystemConfig) -> float:
-    num = 1.0 + quadratic_value(coef.c_lin, coef.c_cross, x) / cfg.noise_user
-    den = 1.0 + quadratic_value(coef.d_lin, coef.d_cross, x) / cfg.noise_eve
-    return num - lam * den
-
-
-def dual_coordinate_update(coef: RatioCoefficients, dual: DualState,
-                           cfg: SystemConfig, score_mode: str = "coherent"):
-    """Closed-form coordinate rules: threshold per-surface and per-pair
-    scores assembled from the multipliers and the benefit/cost coefficients.
-
-    score_mode "coherent" (default) is the sign-coherent coordinate
-    maximization of the Lagrangian of the McCormick-relaxed program:
-    S_l = C_l/s2 - lam*D_l/s2e - sum over l's pairs of (mult1 - mult2) when l
-    leads and (mult1 - mult3) when it follows, with x_l = 1 iff S_l > 0; the
-    pair score is C_lm/s2 - lam*D_lm/s2e + mult1 - mult2 - mult3 with
-    z_lm = 1 iff positive. Only this form reaches McCormick-consistent
-    (z = x_l x_m) fixed points in practice.
-
-    score_mode "flipped" selects an alternative sign convention for the same
-    rules: no self-gain terms, inverted noise weighting, all-positive
-    multiplier sums, and z active on a negative score. Both conventions feed
-    the same safeguards, and the solver is certified against the enumeration
-    oracle either way.
-    """
-    n = coef.n_irs
-    lam = dual.dink_param
-    m1, m2, m3 = dual.mult1, dual.mult2, dual.mult3
-
-    if score_mode == "coherent":
-        # Pairs are indexed (l, m) with m < l: l "leads", m "follows".
-        msum = np.sum(m1 - m2, axis=1) + np.sum(m1 - m3, axis=0)
-        s_lin = coef.c_lin / cfg.noise_user - lam * coef.d_lin / cfg.noise_eve - msum
-        s_cross = (coef.c_cross / cfg.noise_user
-                   - lam * coef.d_cross / cfg.noise_eve + (m1 - m2 - m3))
-        x = (s_lin > 0.0).astype(int)
-        z = np.tril((s_cross > 0.0).astype(int), k=-1)
-    elif score_mode == "flipped":
-        msum = np.zeros(n)
-        for l in range(n):
-            if l == 0:
-                if n > 1:
-                    msum[l] = float(np.sum(m1[1:, 0] + m2[1:, 0] + m3[1:, 0]))
-            elif l == n - 1:
-                msum[l] = float(np.sum(m1[l, :l] + m2[l, :l]))
-            else:
-                msum[l] = (float(np.sum(m1[l, :l] + m2[l, :l]))
-                           + float(np.sum(m3[l + 1:, l] + m1[l + 1:, l])))
-        s_lin = msum + (lam / cfg.noise_eve - 1.0 / cfg.noise_user) * coef.d_lin
-        s_cross = ((m1 + m2 + m3)
-                   + (1.0 / cfg.noise_user - lam / cfg.noise_eve) * coef.d_cross)
-        x = (s_lin > 0.0).astype(int)
-        z = np.tril((s_cross < 0.0).astype(int), k=-1)
-    else:
-        raise ValueError(f"unknown score_mode {score_mode!r}")
-    return x, z
-
-
-def subgradient_update(dual: DualState, x: np.ndarray, z: np.ndarray,
-                       iteration: int, score_mode: str = "coherent") -> DualState:
-    """Projected subgradient step with diminishing size step0 / sqrt(t).
-
-    Each multiplier moves against its constraint residual and is clipped at
-    zero: lambda <- [lambda - beta_t * g]+ with g the slack of the
-    corresponding inequality (nonnegative when satisfied). mult1 always uses
-    g = z - x_l - x_m + 1. In the default sign-coherent mode mult2 and mult3
-    use the slacks of z <= x_l and z <= x_m (g = x_l - z, g = x_m - z); the
-    "flipped" mode negates those two residuals (z - x_l, z - x_m).
-    """
-    if iteration < 1:
-        raise ValueError("iteration counts from 1")
-    n = len(x)
-    beta = dual.step0 / np.sqrt(float(iteration))
-    xf = np.asarray(x, dtype=float)
-    zf = np.asarray(z, dtype=float)
-    mask = np.tril(np.ones((n, n)), k=-1)
-    res1 = (zf - xf[:, None] - xf[None, :] + 1.0) * mask
-    if score_mode == "coherent":
-        res2 = (xf[:, None] - zf) * mask
-        res3 = (xf[None, :] - zf) * mask
-    elif score_mode == "flipped":
-        res2 = (zf - xf[:, None]) * mask
-        res3 = (zf - xf[None, :]) * mask
-    else:
-        raise ValueError(f"unknown score_mode {score_mode!r}")
-    m1 = np.maximum(0.0, dual.mult1 - beta * res1) * mask
-    m2 = np.maximum(0.0, dual.mult2 - beta * res2) * mask
-    m3 = np.maximum(0.0, dual.mult3 - beta * res3) * mask
-    return replace(dual, mult1=m1, mult2=m2, mult3=m3)
-
-
-def _flip_ascent(x0: np.ndarray, score) -> tuple:
-    """Deterministic hill climb over single-bit and pair flips."""
-    x = np.array(x0, dtype=int)
-    n = len(x)
-    best = score(x)
-    improved = True
-    while improved:
-        improved = False
-        for l in range(n):
-            x[l] ^= 1
-            val = score(x)
-            if val > best:
-                best = val
-                improved = True
-            else:
-                x[l] ^= 1
-        for l in range(n):
-            for m in range(l):
-                x[l] ^= 1
-                x[m] ^= 1
-                val = score(x)
-                if val > best:
-                    best = val
-                    improved = True
-                else:
-                    x[l] ^= 1
-                    x[m] ^= 1
-    return x, best
-
-
 def _binary_grid(n: int, block: int | None = None):
     """Yield blocks of all 2^n binary rows (low bit = surface 0)."""
-    if n > BRUTE_FORCE_MAX_L:
-        raise ValueError(f"enumeration limited to L <= {BRUTE_FORCE_MAX_L}")
+    if n > MAX_SURFACES:
+        raise ValueError(f"enumeration limited to L <= {MAX_SURFACES}")
     total = 2 ** n
     block = total if block is None else block
     bits = np.arange(n)
@@ -267,119 +179,16 @@ def _quad_batch(lin, cross, grid):
     return xf @ lin + np.einsum("bi,ij,bj->b", xf, cross, xf)
 
 
-def _exact_inner_argmax(coef: RatioCoefficients, lam: float,
-                        cfg: SystemConfig) -> np.ndarray:
-    """Exact maximizer of N - lam * D by (chunked) enumeration."""
-    best_val, best_row = -np.inf, None
-    for grid in _binary_grid(coef.n_irs, block=1 << 15):
-        num = 1.0 + _quad_batch(coef.c_lin, coef.c_cross, grid) / cfg.noise_user
-        den = 1.0 + _quad_batch(coef.d_lin, coef.d_cross, grid) / cfg.noise_eve
-        vals = num - lam * den
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_row = float(vals[k]), grid[k].copy()
-    return best_row
-
-
-def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig,
-                     eps: float = 1e-6, max_outer: int = 30,
-                     max_inner: int = 500, step0: float = 0.1,
-                     inner: str = "dual", score_mode: str = "coherent"):
-    """Maximize the ratio N(x)/D(x) over binary selections.
-
-    Outer loop: classical parametric update lam <- N(x)/D(x) (clamped at 1,
-    the all-off ratio), terminating when |G(lam)| = |max_x N - lam D| < eps,
-    when lam reaches a fixed point, or after max_outer rounds.
-
-    Inner maximization of N - lam * D with inner="dual" runs the coordinate /
-    subgradient alternation up to max_inner rounds (early exit once the
-    iterate stabilizes), then a deterministic multi-start one/two-bit-flip
-    local search. Because the alternation carries no optimality guarantee for
-    the integer program, the inner result is backstopped by an exact chunked
-    enumeration whenever L <= 24, which makes the parametric iteration exact
-    at desk scale. inner="exhaustive" skips the dual machinery entirely.
-
-    Returns (x, ratio, stalled) for the best selection seen across the run;
-    stalled flags an inner dual loop that hit max_inner without stabilizing.
-    """
-    n = coef.n_irs
-    zero = np.zeros(n, dtype=int)
-    ones = np.ones(n, dtype=int)
-    best_x, best_ratio = zero, 1.0  # all-off is always feasible, ratio exactly 1
-    lam = 1.0
-    stalled = False
-
-    def consider(x):
-        nonlocal best_x, best_ratio
-        r = ratio_value(coef, x, cfg)
-        if r > best_ratio:
-            best_x, best_ratio = np.array(x, dtype=int), r
-        return r
-
-    if consider(ones) > 1.0:
-        lam = best_ratio
-
-    for _ in range(max_outer):
-        score = lambda x: _g_value(coef, x, lam, cfg)
-        if inner == "exhaustive":
-            x_hat = _exact_inner_argmax(coef, lam, cfg)
-        elif inner == "dual":
-            dual = DualState.zeros(n, lam, step0)
-            x_hat, g_hat = zero, score(zero)
-            since_improvement = 0
-            exhausted = True
-            for it in range(1, max_inner + 1):
-                x_it, z_it = dual_coordinate_update(coef, dual, cfg, score_mode)
-                dual = subgradient_update(dual, x_it, z_it, it, score_mode)
-                g_it = score(x_it)
-                if g_it > g_hat:
-                    x_hat, g_hat = x_it, g_it
-                    since_improvement = 0
-                else:
-                    since_improvement += 1
-                if since_improvement >= 25:
-                    exhausted = False
-                    break
-            if exhausted:
-                stalled = True
-            # Safeguard against the integer duality gap: flip-ascend from the
-            # dual iterate and a few deterministic starts, then certify with
-            # the exact enumeration where feasible.
-            g_best = -np.inf
-            for start in (x_hat, best_x, zero, ones):
-                x_cand, g_cand = _flip_ascent(start, score)
-                if g_cand > g_best:
-                    x_hat, g_best = x_cand, g_cand
-            if n <= BRUTE_FORCE_MAX_L:
-                x_exact = _exact_inner_argmax(coef, lam, cfg)
-                if score(x_exact) > g_best:
-                    x_hat = x_exact
-        else:
-            raise ValueError(f"unknown inner mode {inner!r}")
-
-        consider(x_hat)
-        if abs(score(x_hat)) < eps:
-            break
-        num = 1.0 + quadratic_value(coef.c_lin, coef.c_cross, x_hat) / cfg.noise_user
-        den = 1.0 + quadratic_value(coef.d_lin, coef.d_cross, x_hat) / cfg.noise_eve
-        lam_next = max(1.0, num / den)
-        if lam_next == lam:
-            break
-        lam = lam_next
-
-    return best_x, best_ratio, stalled
-
-
 def brute_force_onoff(coef: RatioCoefficients, cfg: SystemConfig):
     """Enumerate all 2^L selections and return the exact ratio maximizer.
 
     Ties break toward fewer active surfaces, then lexicographically.
-    Certification oracle; refuses L > 24.
+    Certification oracle; refuses L > MAX_SURFACES.
     """
     n = coef.n_irs
     best_ratio = -np.inf
     winners = []
-    for grid in _binary_grid(n, block=1 << 15):
+    for grid in _binary_grid(n, block=1 << BLOCK_BITS):
         num = 1.0 + _quad_batch(coef.c_lin, coef.c_cross, grid) / cfg.noise_user
         den = 1.0 + _quad_batch(coef.d_lin, coef.d_cross, grid) / cfg.noise_eve
         ratios = num / den

@@ -41,7 +41,8 @@ def random_solution(rng, cfg, all_on=True) -> SolutionState:
 
 
 def coefficients_from_amplitudes(v_user, v_eve) -> RatioCoefficients:
-    """Expansion coefficients for given per-surface complex amplitudes."""
+    """Expansion coefficients for given per-surface complex amplitudes,
+    which the result also carries."""
     def expand(z):
         lin = np.abs(z) ** 2
         cross = 2.0 * np.real(np.outer(z, np.conj(z)))
@@ -49,8 +50,8 @@ def coefficients_from_amplitudes(v_user, v_eve) -> RatioCoefficients:
 
     c_lin, c_cross = expand(np.asarray(v_user))
     d_lin, d_cross = expand(np.asarray(v_eve))
-    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross,
-                             d_lin=d_lin, d_cross=d_cross)
+    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross, d_lin=d_lin,
+                             d_cross=d_cross, v_user=v_user, v_eve=v_eve)
 
 
 def random_coefficients(rng, n_irs, spread=1.0):

@@ -67,6 +67,7 @@ def test_criterion_2_onoff_oracle_equivalence():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     worst = 0.0
+    mismatches = 0
     n_instances = 200
     for k in range(n_instances):
         n_irs = int(rng.integers(2, 11))
@@ -75,14 +76,16 @@ def test_criterion_2_onoff_oracle_equivalence():
         cfg = desk_config(n_irs=n_irs,
                           noise_user=float(10.0 ** rng.uniform(-2, 1)),
                           noise_eve=float(10.0 ** rng.uniform(-2, 1)))
-        _, ratio_bf = brute_force_onoff(coef, cfg)
-        _, ratio_dk, _ = dinkelbach_solve(coef, cfg)
-        worst = max(worst, abs(ratio_dk - ratio_bf) / max(1.0, abs(ratio_bf)))
+        x_bf, ratio_bf = brute_force_onoff(coef, cfg)
+        x, ratio = dinkelbach_solve(coef, cfg)
+        worst = max(worst, abs(ratio - ratio_bf) / max(1.0, abs(ratio_bf)))
+        mismatches += not np.array_equal(x, x_bf)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 30.0
+    ok = worst <= 1e-9 and mismatches == 0 and elapsed < 30.0
     report(2, "on-off oracle equivalence", ok,
-           f"worst ratio error = {worst:.2e} (tol 1e-9) over {n_instances} "
-           f"instances with L in 2..10, suite {elapsed:.1f} s (< 30 s)")
+           f"worst ratio error = {worst:.2e} (tol 1e-9), {mismatches} selection "
+           f"mismatches over {n_instances} instances with L in 2..10, "
+           f"suite {elapsed:.1f} s (< 30 s)")
 
 
 def test_criterion_3_gradient_matches_finite_differences():

@@ -107,8 +107,8 @@ class TestAoSolve:
         assert rate_gap(ch, replace(sol, beamformer=w_new), cfg) - gap < tol
 
         coef = ratio_coefficients(ch, sol)
-        x_new, _, _ = dinkelbach_solve(coef, cfg)
-        assert rate_gap(ch, replace(sol, onoff=np.asarray(x_new)), cfg) - gap < tol
+        x_new, _ = dinkelbach_solve(coef, cfg)
+        assert rate_gap(ch, replace(sol, onoff=x_new), cfg) - gap < tol
 
         theta_new, _ = mo_ascend(ch, sol, cfg)
         assert rate_gap(ch, replace(sol, phases=theta_new), cfg) - gap < tol

@@ -54,6 +54,12 @@ class TestConfig:
         assert sweeps["power_sweep_dbm"] == [10.0, 20.0]
         assert sweeps["element_sweep"] == default_sweeps()["element_sweep"]
 
+    def test_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"power_dBm": 10.0, "n_tx": 8, "colour": 1}))
+        with pytest.raises(ValueError, match="colour, power_dBm"):
+            load_config(str(path))
+
 
 class TestBaselines:
     def test_mrt_full_power_matched(self, rng):
@@ -191,6 +197,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, "convergence", trials=1, schemes=("bogus",))
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(small_cfg(), "convergence", trials=1, workers=workers)
+
     def test_summarize_groups(self):
         records = [
             ExperimentRecord(0, "mrt", "power_dbm", 10.0, 0.5, 0, 0.0, 1),
@@ -229,6 +240,16 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "power_dBm": 10.0}))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "convergence",
+                     "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert "power_dBm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from irs_secrecy.model import (ChannelSet, SolutionState, SystemConfig,
-                               achievable_rate, dbm_to_watt,
+from irs_secrecy.model import (MAX_SURFACES, ChannelSet, SolutionState,
+                               SystemConfig, achievable_rate, dbm_to_watt,
                                effective_channels, rate_gap, secrecy_rate)
 
 from conftest import desk_config, random_channels, random_solution
@@ -181,6 +181,16 @@ class TestValidation:
     def test_config_rejects_wrong_irs_count(self):
         with pytest.raises(ValueError):
             SystemConfig(n_irs=2)  # default positions list three surfaces
+
+    def test_config_rejects_more_surfaces_than_exact_selection_handles(self):
+        def layout(n):
+            return np.tile([0.0, 20.0, 20.0], (n, 1))
+
+        assert SystemConfig(n_irs=MAX_SURFACES,
+                            irs_positions=layout(MAX_SURFACES)).n_irs == 24
+        with pytest.raises(ValueError, match="n_irs must be <= 24"):
+            SystemConfig(n_irs=MAX_SURFACES + 1,
+                         irs_positions=layout(MAX_SURFACES + 1))
 
     def test_solution_validate(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=2, power=1.0)

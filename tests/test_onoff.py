@@ -7,10 +7,9 @@ import pytest
 import irs_secrecy.model as model
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import SystemConfig
-from irs_secrecy.onoff import (DualState, RatioCoefficients, brute_force_onoff,
-                               dinkelbach_solve, dual_coordinate_update,
-                               quadratic_value, ratio_coefficients,
-                               ratio_value, subgradient_update)
+from irs_secrecy.onoff import (RatioCoefficients, brute_force_onoff,
+                               dinkelbach_solve, quadratic_value,
+                               ratio_coefficients, ratio_value)
 
 from conftest import (coefficients_from_amplitudes, desk_config,
                       random_channels, random_coefficients, random_solution)
@@ -92,106 +91,22 @@ class TestRatioCoefficients:
                               d_lin=[1.0, 1.0], d_cross=np.zeros((2, 2)))
 
 
-class TestDualCoordinateUpdate:
-    def test_single_surface_threshold(self):
-        cfg = desk_config(n_irs=1, noise_user=0.5, noise_eve=2.0)
-        coef = coefficients_from_amplitudes([2.0], [1.0])
-        on = DualState.zeros(1, dink_param=1.0)
-        x, z = dual_coordinate_update(coef, on, cfg)
-        assert x[0] == int(coef.c_lin[0] / 0.5 > 1.0 * coef.d_lin[0] / 2.0)
-        heavy = DualState.zeros(1, dink_param=50.0)
-        x, _ = dual_coordinate_update(coef, heavy, cfg)
-        assert x[0] == 0
-
-    def test_zero_coefficients_all_off(self):
-        cfg = desk_config(n_irs=3)
-        coef = coefficients_from_amplitudes([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        x, z = dual_coordinate_update(coef, DualState.zeros(3, 1.0), cfg)
-        assert np.all(x == 0)
-        assert np.all(z == 0)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_mccormick_consistency_at_convergence(self, seed):
-        # run the dual iteration to convergence at the optimal ratio, then
-        # check the rule output satisfies z = x_l * x_m
-        rng = np.random.default_rng(seed)
-        coef, _, _ = random_coefficients(rng, 3, spread=0.5)
-        cfg = desk_config(n_irs=3)
-        _, ratio, _ = dinkelbach_solve(coef, cfg)
-        dual = DualState.zeros(3, max(1.0, ratio))
-        for it in range(1, 3001):
-            x, z = dual_coordinate_update(coef, dual, cfg)
-            dual = subgradient_update(dual, x, z, it)
-        x, z = dual_coordinate_update(coef, dual, cfg)
-        for l in range(3):
-            for m in range(l):
-                assert z[l, m] == x[l] * x[m]
-
-    def test_outputs_binary(self, rng):
-        # threshold rules return binary selections even though the relaxed
-        # program allows fractional values (recorded behavior)
-        coef, _, _ = random_coefficients(rng, 5)
-        cfg = desk_config(n_irs=5)
-        dual = DualState.zeros(5, 2.0)
-        x, z = dual_coordinate_update(coef, dual, cfg)
-        assert set(np.unique(x)).issubset({0, 1})
-        assert set(np.unique(z)).issubset({0, 1})
-
-
-class TestSubgradientUpdate:
-    def test_slack_keeps_zero_multipliers(self):
-        dual = DualState.zeros(2, 1.0)
-        x = np.array([0, 0])
-        z = np.zeros((2, 2), dtype=int)
-        out = subgradient_update(dual, x, z, iteration=1)
-        assert np.all(out.mult1 == 0.0)
-        assert np.all(out.mult2 == 0.0)
-        assert np.all(out.mult3 == 0.0)
-
-    def test_violated_pair_constraint_raises_mult1(self):
-        dual = DualState.zeros(2, 1.0, step0=0.1)
-        x = np.array([1, 1])
-        z = np.zeros((2, 2), dtype=int)  # z_10 = 0 violates z >= x_1 + x_0 - 1
-        out = subgradient_update(dual, x, z, iteration=4)
-        beta = 0.1 / np.sqrt(4.0)
-        assert out.mult1[1, 0] == pytest.approx(beta)
-
-    def test_step_decay(self):
-        # persistent violation: multiplier increments shrink like 1/sqrt(t)
-        dual = DualState.zeros(2, 1.0, step0=0.1)
-        x = np.array([1, 1])
-        z = np.zeros((2, 2), dtype=int)
-        changes = []
-        prev = 0.0
-        for it in range(1, 1001):
-            dual = subgradient_update(dual, x, z, it)
-            changes.append(dual.mult1[1, 0] - prev)
-            prev = dual.mult1[1, 0]
-        assert changes[-1] == pytest.approx(0.1 / np.sqrt(1000.0), rel=1e-12)
-        assert changes[-1] < changes[9]
-
-    def test_rejects_zero_iteration(self):
-        with pytest.raises(ValueError):
-            subgradient_update(DualState.zeros(2, 1.0), np.zeros(2),
-                               np.zeros((2, 2)), iteration=0)
-
-
 class TestDinkelbachSolve:
     def test_single_surface_cases(self):
         cfg = desk_config(n_irs=1, noise_user=1.0, noise_eve=1.0)
         helpful = coefficients_from_amplitudes([2.0], [1.0])
-        x, ratio, _ = dinkelbach_solve(helpful, cfg)
+        x, ratio = dinkelbach_solve(helpful, cfg)
         assert np.array_equal(x, [1])
         assert ratio == pytest.approx(5.0 / 2.0, rel=1e-12)
         harmful = coefficients_from_amplitudes([1.0], [2.0])
-        x, ratio, _ = dinkelbach_solve(harmful, cfg)
+        x, ratio = dinkelbach_solve(harmful, cfg)
         assert np.array_equal(x, [0])
         assert ratio == pytest.approx(1.0)
 
     def test_degenerate_all_zero(self):
         cfg = desk_config(n_irs=3)
         coef = coefficients_from_amplitudes([0.0] * 3, [0.0] * 3)
-        x, ratio, _ = dinkelbach_solve(coef, cfg)
+        x, ratio = dinkelbach_solve(coef, cfg)
         assert np.array_equal(x, [0, 0, 0])
         assert ratio == pytest.approx(1.0)
 
@@ -203,51 +118,76 @@ class TestDinkelbachSolve:
             cfg = desk_config(n_irs=n_irs,
                               noise_user=float(10.0 ** rng.uniform(-1, 1)),
                               noise_eve=float(10.0 ** rng.uniform(-1, 1)))
-            _, ratio_ref = enumerate_ratio(coef, cfg)
-            _, ratio, _ = dinkelbach_solve(coef, cfg)
+            x_ref, ratio_ref = enumerate_ratio(coef, cfg)
+            x, ratio = dinkelbach_solve(coef, cfg)
             assert ratio == pytest.approx(ratio_ref, rel=1e-12, abs=1e-12)
-
-    def test_exhaustive_inner_mode(self, rng):
-        coef, _, _ = random_coefficients(rng, 4)
-        cfg = desk_config(n_irs=4)
-        x_a, ratio_a, _ = dinkelbach_solve(coef, cfg, inner="exhaustive")
-        _, ratio_ref = enumerate_ratio(coef, cfg)
-        assert ratio_a == pytest.approx(ratio_ref, rel=1e-12)
+            assert np.array_equal(x, x_ref)
 
     def test_root_condition_at_solution(self, rng):
         # parametric root: G(returned ratio) = 0 up to float roundoff
         for _ in range(8):
             coef, _, _ = random_coefficients(rng, 4)
             cfg = desk_config(n_irs=4)
-            _, ratio, _ = dinkelbach_solve(coef, cfg, inner="exhaustive")
+            _, ratio = dinkelbach_solve(coef, cfg)
             scale = g_of_lambda(coef, cfg, 0.0)
             assert abs(g_of_lambda(coef, cfg, ratio)) <= 1e-9 * max(1.0, scale)
 
-    def test_g_strictly_decreasing_in_lambda(self, rng):
-        coef, _, _ = random_coefficients(rng, 4)
-        cfg = desk_config(n_irs=4)
-        values = [g_of_lambda(coef, cfg, lam) for lam in (1.0, 1.5, 2.5, 4.0)]
-        assert all(b < a for a, b in zip(values, values[1:]))
+    def test_matches_brute_force_sixteen_surfaces(self, rng):
+        # more than BLOCK_BITS surfaces: selections span two blocks
+        for _ in range(3):
+            coef, _, _ = random_coefficients(rng, 16)
+            cfg = desk_config(n_irs=16,
+                              noise_user=float(10.0 ** rng.uniform(-1, 1)),
+                              noise_eve=float(10.0 ** rng.uniform(-1, 1)))
+            x_ref, ratio_ref = brute_force_onoff(coef, cfg)
+            x, ratio = dinkelbach_solve(coef, cfg)
+            assert np.array_equal(x, x_ref)
+            assert ratio == pytest.approx(ratio_ref, rel=1e-9)
 
-    def test_flipped_score_mode_still_certified(self, rng):
-        # the alternative sign convention feeds the same safeguards; the result
-        # must stay oracle-exact
-        for _ in range(10):
-            coef, _, _ = random_coefficients(rng, 4)
-            cfg = desk_config(n_irs=4)
-            _, ratio, _ = dinkelbach_solve(coef, cfg, score_mode="flipped")
-            _, ratio_ref = enumerate_ratio(coef, cfg)
-            assert ratio == pytest.approx(ratio_ref, rel=1e-12)
+    def test_ties_break_like_brute_force(self):
+        cfg = desk_config(n_irs=2)
+        # surface 1 adds nothing: fewer active surfaces wins
+        # opposite amplitudes: equal counts, lexicographically first wins
+        for v_user, expected in (([1.0, 0.0], [1, 0]), ([1.0, -1.0], [0, 1])):
+            coef = coefficients_from_amplitudes(v_user, [0.0, 0.0])
+            x, ratio = dinkelbach_solve(coef, cfg)
+            x_ref, ratio_ref = brute_force_onoff(coef, cfg)
+            assert np.array_equal(x, expected)
+            assert np.array_equal(x_ref, expected)
+            assert ratio == ratio_ref == 2.0
+
+    def test_ties_across_blocks(self):
+        # equal single-surface ratios on either side of the block boundary
+        n = 20
+        cfg = desk_config(n_irs=n)
+        v_user = np.zeros(n, dtype=complex)
+        v_user[0], v_user[18] = 1.0, -1.0
+        coef = coefficients_from_amplitudes(v_user, np.zeros(n))
+        x, ratio = dinkelbach_solve(coef, cfg)
+        assert np.flatnonzero(x).tolist() == [18]
+        assert ratio == 2.0
+
+    def test_rejects_more_than_max_surfaces(self):
+        cfg = desk_config(n_irs=1)
+        coef = coefficients_from_amplitudes(np.ones(25), np.ones(25))
+        with pytest.raises(ValueError):
+            dinkelbach_solve(coef, cfg)
+
+    def test_rejects_coefficients_without_amplitudes(self):
+        cfg = desk_config(n_irs=2)
+        coef = coefficients_from_amplitudes([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="amplitudes"):
+            dinkelbach_solve(replace(coef, v_user=None, v_eve=None), cfg)
 
     def test_ratio_matches_raw_channels(self, rng):
-        # coefficient-space ratio equals the rate ratio evaluated from the
-        # raw channels through the model module
+        # the returned ratio equals the rate ratio evaluated from the raw
+        # channels through the model module
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=3)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
         coef = ratio_coefficients(ch, sol)
-        x, ratio, _ = dinkelbach_solve(coef, cfg)
-        chosen = replace(sol, onoff=np.asarray(x, dtype=int))
+        x, ratio = dinkelbach_solve(coef, cfg)
+        chosen = replace(sol, onoff=x)
         assert model.rate_gap(ch, chosen, cfg) == pytest.approx(
             np.log2(ratio), rel=1e-10, abs=1e-12)
 
@@ -290,13 +230,3 @@ class TestBruteForce:
                                  d_lin=np.ones(n), d_cross=np.zeros((n, n)))
         with pytest.raises(ValueError):
             brute_force_onoff(coef, cfg)
-
-
-class TestMcCormickBox:
-    def test_binary_products_are_unique_solutions(self):
-        # for binary (x_l, x_m) the box [max(0, x_l+x_m-1), min(1, x_l, x_m)]
-        # collapses to the single point z = x_l * x_m
-        for x_l, x_m in itertools.product((0, 1), repeat=2):
-            lo = max(0.0, x_l + x_m - 1.0)
-            hi = min(1.0, float(x_l), float(x_m))
-            assert lo == hi == x_l * x_m
