@@ -119,8 +119,7 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
 
 
 def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
-             tol: float = 1e-5, beamformer: str = "sca",
-             rng: np.random.Generator | None = None):
+             tol: float = 1e-5, beamformer: str = "sca"):
     """Cycle the block solvers until the secrecy rate stabilizes.
 
     beamformer selects the transmit-side solver ("sca" or "gevd"). Stops when
@@ -138,7 +137,7 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
     for _ in range(max_rounds):
         eff = effective_channels(ch, sol)
         if beamformer == "sca":
-            w_new, _, _ = sca_solve(eff, cfg, rng=rng)
+            w_new, _, _ = sca_solve(eff, cfg)
         else:
             w_new, _ = gevd_oracle(eff, cfg)
         cand = replace(sol, beamformer=w_new)

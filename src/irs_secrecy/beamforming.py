@@ -2,19 +2,17 @@
 
 Once the phases and on/off pattern are frozen, the whole problem is driven by
 the effective pair (a, b): maximize log2((1 + |a^H w|^2 / s2) /
-(1 + |b^H w|^2 / s2e)) subject to ||w||^2 <= P. Three routes are provided:
+(1 + |b^H w|^2 / s2e)) subject to ||w||^2 <= P. Two routes are provided:
 
-* sca_solve      -- iterate convex subproblems on the lifted matrix W = w w^H,
-                    with the eavesdropper exponential linearized at a moving
-                    anchor, then recover w (principal eigenvector, or Gaussian
-                    randomization if the lift is not numerically rank one).
+* sca_solve      -- successive convex approximation: linearize the
+                    eavesdropper exponential at a moving anchor and solve
+                    each convex subproblem exactly for the beamformer w.
 * gevd_oracle    -- closed-form global optimum via the principal generalized
                     eigenvector of the pencil (I + (P/s2) a a^H,
                     I + (P/s2e) b b^H); used to certify sca_solve.
-* gaussian_randomization -- rank recovery from an arbitrary PSD lift.
 
-Because a a^H and b b^H are rank one, any optimal lift lives in span{a, b};
-every subproblem is solved exactly over a 2x2 reduced matrix.
+Because a a^H and b b^H are rank one, every optimal beamformer lives in
+span{a, b}; every subproblem is solved exactly over a 2x2 reduced matrix.
 """
 
 import math
@@ -26,29 +24,25 @@ import scipy.linalg
 from .model import EffectivePair, SystemConfig
 
 __all__ = [
-    "SdrIterate",
+    "ScaIterate",
     "sca_subproblem",
     "sca_solve",
     "gevd_oracle",
-    "gaussian_randomization",
 ]
 
 LOG2E = 1.0 / math.log(2.0)
 
-# Dominant-eigenvalue fraction above which a lift counts as rank one.
-RANK_ONE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
-class SdrIterate:
-    """One convex-subproblem solution: the PSD lift plus auxiliary exponents.
+class ScaIterate:
+    """One convex-subproblem solution: the beamformer plus auxiliary exponents.
 
-    w_mat is Hermitian PSD with trace <= power budget; p_aux and q_aux satisfy
-    exp(p_aux) = 1 + tr(W A)/s2 and the linearized eavesdropper constraint at
-    the anchor q_anchor holds with equality.
+    w satisfies ||w||^2 <= power budget; p_aux and q_aux satisfy
+    exp(p_aux) = 1 + |a^H w|^2/s2 and the linearized eavesdropper constraint
+    at the anchor q_anchor holds with equality.
     """
 
-    w_mat: np.ndarray
+    w: np.ndarray
     p_aux: float
     q_aux: float
     q_anchor: float
@@ -104,23 +98,19 @@ def _best_power(alpha: float, beta: float, sigma2: float, c_eve: float,
     return min(max(s, 0.0), p_max)
 
 
-def _reduced_value(s: float, alpha: float, beta: float, sigma2: float,
-                   c_eve: float) -> float:
-    return math.log1p(s * alpha / sigma2) - c_eve * s * beta
-
-
 def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
-                   q_anchor: float) -> SdrIterate:
+                   q_anchor: float) -> ScaIterate:
     """Solve one convex subproblem exactly.
 
-    Maximizes (p - q) log2(e) subject to 1 + tr(WA)/s2 >= e^p, the linearized
-    eavesdropper bound 1 + tr(WB)/s2e <= e^qa (1 + q - qa), tr(W) <= P and
-    W >= 0. At the optimum both rate constraints bind, so the problem reduces
-    to maximizing ln(1 + tA/s2) - e^{-qa} tB / s2e over the feasible lift,
-    with tA = a^H W a, tB = b^H W b. Any optimal W can be taken rank one
-    inside span{a, b}; the optimal direction is the top eigenvector of
-    a a^H / (s2 + tA) - c b b^H at the (unique) consistent tA, found by
-    bisection, and the power along it has a closed form.
+    Maximizes (p - q) log2(e) subject to 1 + |a^H w|^2/s2 >= e^p, the
+    linearized eavesdropper bound 1 + |b^H w|^2/s2e <= e^qa (1 + q - qa) and
+    ||w||^2 <= P. At the optimum both rate constraints bind, so the problem
+    reduces to maximizing ln(1 + tA/s2) - e^{-qa} tB / s2e with
+    tA = |a^H w|^2, tB = |b^H w|^2. As a function of W = w w^H this is
+    concave, and its optimum is rank one inside span{a, b}: the direction is
+    the top eigenvector of a a^H / (s2 + tA) - c b b^H at the (unique)
+    consistent tA, found by bisection, and the power along it has a closed
+    form.
     """
     if not np.isfinite(q_anchor):
         raise ValueError("q_anchor must be finite")
@@ -130,21 +120,14 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
     p_budget = cfg.power_budget
     c_eve = math.exp(-q_anchor) / sigma2_e
 
-    n = len(a)
     basis = _span_basis(a, b)
     r = basis.shape[1]
     at = basis.conj().T @ a
     bt = basis.conj().T @ b
     norm_a = float(np.linalg.norm(at))
 
-    best_s, best_u, best_val = 0.0, None, 0.0
+    w = np.zeros(len(a), dtype=complex)
     if r > 0 and norm_a > 0.0:
-        def eval_dir(u):
-            alpha = abs(np.vdot(at, u)) ** 2
-            beta = abs(np.vdot(bt, u)) ** 2
-            s = _best_power(alpha, beta, sigma2, c_eve, p_budget)
-            return s, _reduced_value(s, alpha, beta, sigma2, c_eve)
-
         def top_dir(t_a):
             # Top eigenvector of at at^H / (s2 + t_a) - c bt bt^H.
             rho = 1.0 / (sigma2 + t_a)
@@ -156,67 +139,37 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
             h12 = rho * at[0] * np.conj(at[1]) - c_eve * bt[0] * np.conj(bt[1])
             return _top_eigpair_2x2(h11, h12, h22)
 
-        candidates = [at / norm_a]
-        if r == 2:
-            norm_b = float(np.linalg.norm(bt))
-            if norm_b > 0.0:
-                # Zero-leakage direction: component of a orthogonal to b.
-                u = at - bt * (np.vdot(bt, at) / norm_b**2)
-                nu = np.linalg.norm(u)
-                if nu > 0.0:
-                    candidates.append(u / nu)
-
         # Fixed point of t = P |a^H u(t)|^2: the signal power seen through the
         # optimal direction. |a^H u(t)|^2 is non-increasing in t, so bisect.
         t_hi = p_budget * norm_a**2
-        lam_hi, u_hi = top_dir(t_hi)
-        gain_hi = p_budget * abs(np.vdot(at, u_hi)) ** 2 if lam_hi > 0.0 else 0.0
-        if gain_hi >= t_hi:
-            candidates.append(u_hi)
-        else:
+        lam_hi, u = top_dir(t_hi)
+        gain_hi = p_budget * abs(np.vdot(at, u)) ** 2 if lam_hi > 0.0 else 0.0
+        if gain_hi < t_hi:
             lo, hi = 0.0, t_hi
-            u_fix = u_hi
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
-                lam, u_fix = top_dir(mid)
-                gain = p_budget * abs(np.vdot(at, u_fix)) ** 2 if lam > 0.0 else 0.0
+                lam, u = top_dir(mid)
+                gain = p_budget * abs(np.vdot(at, u)) ** 2 if lam > 0.0 else 0.0
                 if gain >= mid:
                     lo = mid
                 else:
                     hi = mid
-            candidates.append(u_fix)
 
-        for u in candidates:
-            s, val = eval_dir(u)
-            if val > best_val:
-                best_s, best_u, best_val = s, u, val
+        alpha = abs(np.vdot(at, u)) ** 2
+        beta = abs(np.vdot(bt, u)) ** 2
+        s = _best_power(alpha, beta, sigma2, c_eve, p_budget)
+        if s > 0.0:
+            # For nearly parallel a and b the Gram-Schmidt basis is
+            # orthonormal only to ~1e-9: put w exactly on ||w||^2 = s and
+            # read the signal powers off w itself.
+            v = basis @ u
+            w = math.sqrt(s) / np.linalg.norm(v) * v
 
-        # Polish: re-anchor the eigenvector weight at the achieved signal
-        # power and re-optimize; converges in one or two rounds.
-        for _ in range(6):
-            if best_u is None:
-                break
-            t_cur = best_s * abs(np.vdot(at, best_u)) ** 2
-            _, u = top_dir(t_cur)
-            s, val = eval_dir(u)
-            if val > best_val + 1e-15:
-                best_s, best_u, best_val = s, u, val
-            else:
-                break
-
-    if best_u is None or best_s <= 0.0:
-        w_mat = np.zeros((n, n), dtype=complex)
-        t_a = 0.0
-        t_b = 0.0
-    else:
-        w_vec = basis @ best_u
-        w_mat = best_s * np.outer(w_vec, np.conj(w_vec))
-        t_a = best_s * abs(np.vdot(at, best_u)) ** 2
-        t_b = best_s * abs(np.vdot(bt, best_u)) ** 2
-
+    t_a = abs(np.vdot(a, w)) ** 2
+    t_b = abs(np.vdot(b, w)) ** 2
     p_aux = math.log1p(t_a / sigma2)
     q_aux = q_anchor - 1.0 + (1.0 + t_b / sigma2_e) * math.exp(-q_anchor)
-    return SdrIterate(w_mat=w_mat, p_aux=p_aux, q_aux=q_aux, q_anchor=q_anchor)
+    return ScaIterate(w=w, p_aux=p_aux, q_aux=q_aux, q_anchor=q_anchor)
 
 
 def _pair_gap(eff: EffectivePair, w: np.ndarray, cfg: SystemConfig) -> float:
@@ -229,8 +182,8 @@ def _pair_gap(eff: EffectivePair, w: np.ndarray, cfg: SystemConfig) -> float:
 
 def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
               tol: float = 1e-6, init: str = "mrt",
-              rng: np.random.Generator | None = None, samples: int = 200):
-    """Run the successive convex approximation loop on the lifted problem.
+              rng: np.random.Generator | None = None):
+    """Run the successive convex approximation loop.
 
     Starting from a feasible w0 (matched filter by default, or a random
     direction with init="random"), anchor the eavesdropper linearization at
@@ -238,7 +191,7 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
     to the new optimum. The subproblem objective sequence is non-decreasing;
     the loop stops once successive values change by less than tol.
 
-    Returns (w, trace, converged) where w is the rank-recovered beamformer
+    Returns (w, trace, converged) where w is the last subproblem's beamformer
     with ||w||^2 <= P and trace holds the per-iteration objectives. On budget
     exhaustion the best (last) iterate is returned with converged=False.
     """
@@ -273,8 +226,7 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
         prev = obj
         q_anchor = iterate.q_aux
 
-    w = gaussian_randomization(iterate.w_mat, eff, cfg, samples=samples, rng=rng)
-    return w, np.asarray(trace), converged
+    return iterate.w, np.asarray(trace), converged
 
 
 def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
@@ -308,43 +260,3 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     rate = _pair_gap(eff, w, cfg)
     return w, rate
 
-
-def gaussian_randomization(w_mat: np.ndarray, eff: EffectivePair,
-                           cfg: SystemConfig, samples: int = 200,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Recover a feasible beamformer from a PSD lift.
-
-    If the dominant eigenvalue carries at least 1 - 1e-6 of the trace the
-    scaled principal eigenvector is returned directly. Otherwise `samples`
-    complex Gaussian vectors with covariance w_mat are drawn, rescaled onto
-    the power ball where needed, and the one with the best unclamped rate
-    difference wins.
-    """
-    w_mat = np.asarray(w_mat, dtype=complex)
-    n = w_mat.shape[0]
-    vals, vecs = np.linalg.eigh(0.5 * (w_mat + w_mat.conj().T))
-    vals = np.clip(vals.real, 0.0, None)
-    trace = float(vals.sum())
-    p_budget = cfg.power_budget
-    if trace <= 0.0:
-        return np.zeros(n, dtype=complex)
-    if vals[-1] >= (1.0 - RANK_ONE_TOL) * trace:
-        w = math.sqrt(vals[-1]) * vecs[:, -1]
-        power = float(np.real(np.vdot(w, w)))
-        if power > p_budget:
-            w = w * math.sqrt(p_budget / power)
-        return w
-
-    gen = rng if rng is not None else np.random.default_rng(0)
-    factor = vecs * np.sqrt(vals)
-    z = (gen.standard_normal((n, samples))
-         + 1j * gen.standard_normal((n, samples))) / math.sqrt(2.0)
-    cand = factor @ z
-    powers = np.sum(np.abs(cand) ** 2, axis=0)
-    over = powers > p_budget
-    cand[:, over] = cand[:, over] * np.sqrt(p_budget / powers[over])
-    gain_user = np.abs(np.conj(eff.eff_user) @ cand) ** 2
-    gain_eve = np.abs(np.conj(eff.eff_eve) @ cand) ** 2
-    scores = (np.log2(1.0 + gain_user / cfg.noise_user)
-              - np.log2(1.0 + gain_eve / cfg.noise_eve))
-    return cand[:, int(np.argmax(scores))]

@@ -14,8 +14,10 @@ Schemes
 
 Determinism: the per-trial stream is derived counter-style from the master
 seed, SeedSequence([master, trial, tag]) with tag 0 for channel synthesis
-(shared by every scheme, so paired comparisons see the same fading) and
-100 + scheme id for scheme-local randomness. Reordering or parallelizing
+and 100 + scheme id for scheme-local randomness. ao-multi-irs, mrt and
+random-bf share the tag-0 channels, so they see the same fading; single-irs
+draws its own channels for the consolidated geometry from the same tag-0
+stream, so its fading is not paired with the others'. Reordering or parallelizing
 trials never changes any output byte. The runtime_ms column is 0.0 unless
 timing is requested, since wall-clock values would break byte-level
 reproducibility.
@@ -45,7 +47,6 @@ __all__ = [
     "mrt_baseline",
     "random_baseline",
     "consolidate_single_irs",
-    "single_irs_baseline",
     "run_experiment",
     "write_csv",
     "main",
@@ -156,14 +157,6 @@ def consolidate_single_irs(cfg: SystemConfig) -> SystemConfig:
                    n_irs=1,
                    n_refl=cfg.n_irs * cfg.n_refl,
                    irs_positions=cfg.irs_positions[-1:].copy())
-
-
-def single_irs_baseline(ch: ChannelSet, cfg: SystemConfig,
-                        beamformer: str = "sca") -> SolutionState:
-    """Full alternating optimization on a consolidated single-surface
-    geometry (cfg and ch must already describe it)."""
-    sol, _ = ao_solve(ch, cfg, beamformer=beamformer)
-    return sol
 
 
 def _trial_base_seed(master_seed: int, trial: int) -> int:

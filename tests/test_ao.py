@@ -6,8 +6,8 @@ import pytest
 from irs_secrecy.ao import ao_solve, user_aligned_state
 from irs_secrecy.beamforming import sca_solve
 from irs_secrecy.channel_gen import gen_channels
-from irs_secrecy.model import (SystemConfig, effective_channels, rate_gap,
-                               secrecy_rate)
+from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
+                               effective_channels, rate_gap, secrecy_rate)
 from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
 from irs_secrecy.phases import mo_ascend
 
@@ -112,3 +112,31 @@ class TestAoSolve:
 
         theta_new, _ = mo_ascend(ch, sol, cfg)
         assert rate_gap(ch, replace(sol, phases=theta_new), cfg) - gap < tol
+
+
+class TestProperties:
+    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
+    def test_scale_invariance(self, rng, beamformer):
+        # last-hop channels x k scale both effective channels by k; noise
+        # x k^2 then leaves every SNR, and so every rate, unchanged
+        cfg = desk_config(n_tx=4, n_refl=3, n_irs=2, noise_eve=0.8)
+        ch = random_channels(rng, cfg)
+        _, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        for k in (1e-60, 1e-30, 1e30, 1e60):
+            ch_k = ChannelSet(g_ap_irs=ch.g_ap_irs, h_irs_user=k * ch.h_irs_user,
+                              g_irs_eve=k * ch.g_irs_eve)
+            cfg_k = replace(cfg, noise_user=cfg.noise_user * k * k,
+                            noise_eve=cfg.noise_eve * k * k)
+            _, trace_k = ao_solve(ch_k, cfg_k, beamformer=beamformer)
+            assert abs(trace_k[-1] - trace[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
+    @pytest.mark.parametrize("power_dbm", [-30.0, 0.0, 60.0, 90.0])
+    def test_extreme_powers(self, rng, beamformer, power_dbm):
+        cfg = desk_config(n_tx=4, n_refl=3, n_irs=2, noise_eve=0.8,
+                          power=dbm_to_watt(power_dbm))
+        ch = random_channels(rng, cfg)
+        sol, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        sol.validate(cfg)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= 0.0)

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from irs_secrecy.ao import ao_solve
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.harness import (CSV_HEADER, SCHEMES, ExperimentRecord,
                                  consolidate_single_irs, default_sweeps,
                                  load_config, main, mrt_baseline,
-                                 random_baseline, run_experiment,
-                                 single_irs_baseline, summarize)
+                                 random_baseline, run_experiment, summarize)
 from irs_secrecy.model import SystemConfig, effective_channels, secrecy_rate
 
 
@@ -118,7 +118,7 @@ class TestBaselines:
     def test_single_irs_baseline_runs_full_pipeline(self, rng):
         cfg = consolidate_single_irs(small_cfg())
         ch = gen_channels(cfg, rng)
-        sol = single_irs_baseline(ch, cfg)
+        sol, _ = ao_solve(ch, cfg)
         sol.validate(cfg)
         assert secrecy_rate(ch, sol, cfg) >= 0.0
 
