@@ -11,7 +11,9 @@ beamformer blocks trade diminishing gains along a coupled valley and can take
 hundreds of rounds to settle. Ascending the phases on the envelope objective
 (beamformer re-matched in closed form after every accepted step; by Danskin's
 argument the fixed-beamformer phase gradient is exactly the envelope
-gradient) collapses that tail into the round where it occurs.
+gradient) collapses that tail into the round where it occurs. The refinement
+builds the cascade rows of the switched-on elements once per call, so each
+step is four matrix-vector products plus the closed-form beamformer.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .beamforming import gevd_oracle, sca_solve
-from .model import (ChannelSet, SolutionState, SystemConfig,
+from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
                     effective_channels, rate_gap)
 from .onoff import dinkelbach_solve, ratio_coefficients
 from .phases import mo_ascend
@@ -64,17 +66,26 @@ def user_aligned_state(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
 def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
                   max_iter: int = 2000, tol: float = 1e-9, patience: int = 5):
     """Ascend the phases on the envelope objective, re-matching the beamformer
-    (closed form) after every accepted step. Returns (phases, w, value)."""
-    x = sol.onoff
-    active = np.repeat(x.astype(float), ch.n_refl)
-    act_idx = np.flatnonzero(active > 0.0)
-    theta = np.array(sol.phases, dtype=complex)
+    (closed form) after every accepted step. Returns (phases, w, value).
+
+    The cascade rows of the switched-on elements, R_u = conj(h) * G and
+    R_e = conj(g) * G (one row per element, n_tx columns), are built once:
+    the effective pair at phases theta is a = conj(theta @ R_u),
+    b = conj(theta @ R_e), and the per-element amplitudes under w are
+    c = R_u @ w, d = R_e @ w.
+    """
+    act_idx = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
+    theta_full = np.array(sol.phases, dtype=complex)
     if len(act_idx) == 0:
-        return theta, sol.beamformer, rate_gap(ch, sol, cfg)
+        return theta_full, sol.beamformer, rate_gap(ch, sol, cfg)
+    g_rows = ch.g_ap_irs.reshape(-1, ch.n_tx)[act_idx]
+    rows_u = np.conj(ch.h_irs_user.reshape(-1)[act_idx])[:, None] * g_rows
+    rows_e = np.conj(ch.g_irs_eve.reshape(-1)[act_idx])[:, None] * g_rows
+    theta = theta_full[act_idx]
 
     def response(phases):
-        cand = replace(sol, phases=phases)
-        eff = effective_channels(ch, cand)
+        eff = EffectivePair(eff_user=np.conj(phases @ rows_u),
+                            eff_eve=np.conj(phases @ rows_e))
         w, _ = gevd_oracle(eff, cfg)
         gain_u = abs(np.vdot(eff.eff_user, w)) ** 2
         gain_e = abs(np.vdot(eff.eff_eve, w)) ** 2
@@ -86,22 +97,20 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
     step = 1.0
     small_steps = 0
     for _ in range(max_iter):
-        gw = np.einsum("lnt,t->ln", ch.g_ap_irs, w)
-        c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
-        d = (np.conj(ch.g_irs_eve) * gw).reshape(-1)
-        u = np.sum(active * theta * c)
-        e = np.sum(active * theta * d)
-        grad = active / LN2 * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
-                               - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
+        c = rows_u @ w
+        d = rows_e @ w
+        u = np.sum(theta * c)
+        e = np.sum(theta * d)
+        grad = (1.0 / LN2) * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
+                              - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
         xi = grad - np.real(grad * np.conj(theta)) * theta
         sq_norm = float(np.sum(np.abs(xi) ** 2))
         if sq_norm <= 1e-300:
             break
         accepted = False
         while step > 1e-18:
-            trial = theta.copy()
-            moved = theta[act_idx] + step * xi[act_idx]
-            trial[act_idx] = moved / np.abs(moved)
+            moved = theta + step * xi
+            trial = moved / np.abs(moved)
             w_trial, trial_value = response(trial)
             if trial_value >= value + 1e-4 * step * sq_norm:
                 accepted = True
@@ -115,7 +124,8 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
         small_steps = small_steps + 1 if delta < tol else 0
         if small_steps >= patience:
             break
-    return theta, w, value
+    theta_full[act_idx] = theta
+    return theta_full, w, value
 
 
 def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,

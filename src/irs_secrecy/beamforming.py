@@ -7,19 +7,20 @@ the effective pair (a, b): maximize log2((1 + |a^H w|^2 / s2) /
 * sca_solve      -- successive convex approximation: linearize the
                     eavesdropper exponential at a moving anchor and solve
                     each convex subproblem exactly for the beamformer w.
-* gevd_oracle    -- closed-form global optimum via the principal generalized
-                    eigenvector of the pencil (I + (P/s2) a a^H,
-                    I + (P/s2e) b b^H); used to certify sca_solve.
+* gevd_oracle    -- closed-form global optimum: the larger root of the
+                    quadratic whose roots are the generalized eigenvalues
+                    of the pencil (I + (P/s2) a a^H, I + (P/s2e) b b^H) on
+                    span{a, b}, and its eigenvector in closed form; used to
+                    certify sca_solve and by the joint phase refinement.
 
 Because a a^H and b b^H are rank one, every optimal beamformer lives in
-span{a, b}; every subproblem is solved exactly over a 2x2 reduced matrix.
+span{a, b}; every SCA subproblem is solved exactly over a 2x2 reduced matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import EffectivePair, SystemConfig
 
@@ -72,18 +73,20 @@ def _span_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _top_eigpair_2x2(h11: float, h12: complex, h22: float):
-    """Largest eigenvalue and unit eigenvector of [[h11, h12], [h12*, h22]]."""
+    """Largest eigenvalue and unit eigenvector (a pair of Python complex
+    numbers) of [[h11, h12], [h12*, h22]]."""
     mean = 0.5 * (h11 + h22)
     diff = 0.5 * (h11 - h22)
     rad = math.hypot(diff, abs(h12))
     lam = mean + rad
     scale = abs(h11) + abs(h22) + abs(h12)
     if rad <= 1e-15 * max(scale, 1e-300):
-        return lam, np.array([1.0, 0.0], dtype=complex)
-    u1 = np.array([h12, lam - h11], dtype=complex)
-    u2 = np.array([lam - h22, np.conj(h12)], dtype=complex)
-    u = u1 if np.linalg.norm(u1) >= np.linalg.norm(u2) else u2
-    return lam, u / np.linalg.norm(u)
+        return lam, (1.0 + 0.0j, 0.0j)
+    norm1 = math.hypot(abs(h12), lam - h11)
+    norm2 = math.hypot(lam - h22, abs(h12))
+    if norm1 >= norm2:
+        return lam, (h12 / norm1, (lam - h11) / norm1 + 0.0j)
+    return lam, ((lam - h22) / norm2 + 0.0j, h12.conjugate() / norm2)
 
 
 def _best_power(alpha: float, beta: float, sigma2: float, c_eve: float,
@@ -128,41 +131,51 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
 
     w = np.zeros(len(a), dtype=complex)
     if r > 0 and norm_a > 0.0:
+        # Entries of at at^H and bt bt^H, as Python scalars (zero-padded
+        # when the span is one-dimensional).
+        a1, b1 = complex(at[0]), complex(bt[0])
+        a2, b2 = (complex(at[1]), complex(bt[1])) if r == 2 else (0j, 0j)
+        aa11, aa22, aa12 = abs(a1) ** 2, abs(a2) ** 2, a1 * a2.conjugate()
+        bb11, bb22, bb12 = abs(b1) ** 2, abs(b2) ** 2, b1 * b2.conjugate()
+
         def top_dir(t_a):
             # Top eigenvector of at at^H / (s2 + t_a) - c bt bt^H.
             rho = 1.0 / (sigma2 + t_a)
+            h11 = rho * aa11 - c_eve * bb11
             if r == 1:
-                lam = rho * abs(at[0]) ** 2 - c_eve * abs(bt[0]) ** 2
-                return lam, np.array([1.0], dtype=complex)
-            h11 = rho * abs(at[0]) ** 2 - c_eve * abs(bt[0]) ** 2
-            h22 = rho * abs(at[1]) ** 2 - c_eve * abs(bt[1]) ** 2
-            h12 = rho * at[0] * np.conj(at[1]) - c_eve * bt[0] * np.conj(bt[1])
+                return h11, (1.0 + 0.0j, 0.0j)
+            h22 = rho * aa22 - c_eve * bb22
+            h12 = rho * aa12 - c_eve * bb12
             return _top_eigpair_2x2(h11, h12, h22)
+
+        def signal(u):
+            # |at^H u|^2
+            return abs(a1.conjugate() * u[0] + a2.conjugate() * u[1]) ** 2
 
         # Fixed point of t = P |a^H u(t)|^2: the signal power seen through the
         # optimal direction. |a^H u(t)|^2 is non-increasing in t, so bisect.
         t_hi = p_budget * norm_a**2
         lam_hi, u = top_dir(t_hi)
-        gain_hi = p_budget * abs(np.vdot(at, u)) ** 2 if lam_hi > 0.0 else 0.0
+        gain_hi = p_budget * signal(u) if lam_hi > 0.0 else 0.0
         if gain_hi < t_hi:
             lo, hi = 0.0, t_hi
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
                 lam, u = top_dir(mid)
-                gain = p_budget * abs(np.vdot(at, u)) ** 2 if lam > 0.0 else 0.0
+                gain = p_budget * signal(u) if lam > 0.0 else 0.0
                 if gain >= mid:
                     lo = mid
                 else:
                     hi = mid
 
-        alpha = abs(np.vdot(at, u)) ** 2
-        beta = abs(np.vdot(bt, u)) ** 2
+        alpha = signal(u)
+        beta = abs(b1.conjugate() * u[0] + b2.conjugate() * u[1]) ** 2
         s = _best_power(alpha, beta, sigma2, c_eve, p_budget)
         if s > 0.0:
             # For nearly parallel a and b the Gram-Schmidt basis is
             # orthonormal only to ~1e-9: put w exactly on ||w||^2 = s and
             # read the signal powers off w itself.
-            v = basis @ u
+            v = basis @ np.array(u[:r])
             w = math.sqrt(s) / np.linalg.norm(v) * v
 
     t_a = abs(np.vdot(a, w)) ** 2
@@ -234,29 +247,69 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
 
     The best ratio (1 + |a^H w|^2/s2) / (1 + |b^H w|^2/s2e) over the power
     ball equals the largest generalized eigenvalue of the pencil
-    (I + (P/s2) a a^H, I + (P/s2e) b b^H), restricted to span{a, b} (outside
-    the span both matrices act as the identity). Returns (w, rate) with
-    w = sqrt(P) * u for the principal eigenvector u, or the zero beamformer
-    with rate 0 when not transmitting is optimal (ratio <= 1).
+    (I + (P/s2) a a^H, I + (P/s2e) b b^H) on span{a, b} (outside the span
+    both matrices act as the identity). With g_a = P||a||^2/s2,
+    g_b = P||b||^2/s2e and g_p = P||b_p||^2/s2e for the part b_p of b
+    orthogonal to a, the two eigenvalues are the roots of
+
+        lam^2 (1 + g_b) - lam (2 + g_a + g_b + g_a g_p) + (1 + g_a) = 0,
+
+    whose discriminant is (g_a - g_b)^2 + g_a g_p (2 (2 + g_a + g_b) + g_a g_p),
+    a sum of non-negative terms. The larger root is evaluated from that sum
+    after dividing through by 1 + g_b and scaling by its largest term, so no
+    intermediate overflows even at noise powers of 1e-300 W. The principal
+    eigenvector, divided through by lam P/s2e, is
+
+        u = ((1 - 1/lam) s2e/P + ||b_p||^2) a - (b^H a) b_p,
+
+    free of cancellation. Returns (w, rate) with w = sqrt(P) u/||u||, or the
+    zero beamformer with rate 0 when not transmitting is optimal (lam <= 1,
+    or the rate w achieves is not positive because lam exceeds 1 only by
+    rounding). As the span basis of the SCA route, b counts as parallel to a
+    when ||b_p|| <= 1e-10 ||b||.
     """
     a = np.asarray(eff.eff_user, dtype=complex)
     b = np.asarray(eff.eff_eve, dtype=complex)
-    n = len(a)
-    basis = _span_basis(a, b)
-    r = basis.shape[1]
-    if r == 0:
-        return np.zeros(n, dtype=complex), 0.0
-    at = basis.conj().T @ a
-    bt = basis.conj().T @ b
+    zero = np.zeros(len(a), dtype=complex)
+    norm2_a = np.vdot(a, a).real
+    if norm2_a == 0.0:
+        return zero, 0.0
     p_budget = cfg.power_budget
-    m1 = np.eye(r, dtype=complex) + (p_budget / cfg.noise_user) * np.outer(at, np.conj(at))
-    m2 = np.eye(r, dtype=complex) + (p_budget / cfg.noise_eve) * np.outer(bt, np.conj(bt))
-    vals, vecs = scipy.linalg.eigh(m1, m2)
-    if vals[-1] <= 1.0:
-        return np.zeros(n, dtype=complex), 0.0
-    u = vecs[:, -1]
-    u = u / np.linalg.norm(u)
-    w = math.sqrt(p_budget) * (basis @ u)
+    b_dot_a = complex(np.vdot(b, a))
+    b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
+    # A second pass keeps b_p orthogonal to a to rounding when b is nearly
+    # parallel to a; the rate of the returned w depends on it.
+    b_perp -= (np.vdot(a, b_perp) / norm2_a) * a
+    norm2_b = np.vdot(b, b).real
+    norm2_perp = np.vdot(b_perp, b_perp).real
+    if norm2_perp <= 1e-20 * norm2_b:
+        norm2_perp, b_perp = 0.0, zero
+    g_a = p_budget * norm2_a / cfg.noise_user
+    g_b = p_budget * norm2_b / cfg.noise_eve
+    g_p = p_budget * norm2_perp / cfg.noise_eve
+    # Coefficients over 1 + g_b: lam^2 - (e + r) lam + (1 + g_a)/(1 + g_b),
+    # discriminant d^2 + r (2e + r).
+    e = (2.0 + g_a + g_b) / (1.0 + g_b)
+    d = (g_a - g_b) / (1.0 + g_b)
+    r = g_a * (g_p / (1.0 + g_b))
+    m = max(e, r)
+    lam = 0.5 * (e + r + m * math.sqrt((d / m) ** 2 + (r / m) * (2.0 * e / m + r / m)))
+    if lam <= 1.0:
+        return zero, 0.0
+    kappa = (1.0 - 1.0 / lam) * cfg.noise_eve / p_budget
+    # Both coefficients scale as |channel|^2: divide by the larger one, so
+    # that ||u|| neither overflows nor underflows.
+    coef_a = kappa + norm2_perp
+    top = max(coef_a, abs(b_dot_a))
+    u = (coef_a / top) * a - (b_dot_a / top) * b_perp
+    scale = math.sqrt(p_budget) / np.linalg.norm(u)
+    w = scale * u
+    # b^H u = (kappa/top) b^H a exactly. One correction along b puts the
+    # computed leakage back on that value, to rounding; it sets the rate when
+    # the eavesdropper is all but nulled (SNRs near 1e90 and beyond).
+    if norm2_b > 0.0:
+        w -= ((np.vdot(b, w) - scale * (kappa / top) * b_dot_a) / norm2_b) * b
     rate = _pair_gap(eff, w, cfg)
+    if rate <= 0.0:
+        return zero, 0.0
     return w, rate
-

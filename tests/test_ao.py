@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from irs_secrecy import harness
 from irs_secrecy.ao import ao_solve, user_aligned_state
-from irs_secrecy.beamforming import sca_solve
+from irs_secrecy.beamforming import gevd_oracle, sca_solve
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
                                effective_channels, rate_gap, secrecy_rate)
@@ -140,3 +141,24 @@ class TestProperties:
         sol.validate(cfg)
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= 0.0)
+
+    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
+    @pytest.mark.parametrize("noise", [1e-100, 1e-300])
+    def test_tiny_noise(self, beamformer, noise):
+        # SNRs near 1e90 and beyond on the reference layout: the pencil of
+        # the beamformer block is far too ill-conditioned for a dense
+        # generalized eigensolver, the closed form still holds
+        cfg, _ = harness.load_config(None)
+        cfg = replace(cfg, noise_user=noise, noise_eve=noise)
+        ch = gen_channels(cfg, harness._stream(3, 0, 0))
+        sol, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        sol.validate(cfg)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= 0.0)
+        eff = effective_channels(ch, sol)
+        _, rate = gevd_oracle(eff, cfg)
+        w_sca, _, _ = sca_solve(eff, cfg)
+        gu = abs(np.vdot(eff.eff_user, w_sca)) ** 2
+        ge = abs(np.vdot(eff.eff_eve, w_sca)) ** 2
+        rate_sca = np.log2(1.0 + gu / noise) - np.log2(1.0 + ge / noise)
+        assert rate >= rate_sca - 1e-9 * abs(rate)

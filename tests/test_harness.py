@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +263,17 @@ class TestCli:
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestPackaging:
+    def test_import_needs_numpy_only(self):
+        # scipy is a test dependency: importing the package and its harness
+        # in a fresh interpreter must not load it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, irs_secrecy, irs_secrecy.harness; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
