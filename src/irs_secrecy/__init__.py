@@ -10,7 +10,7 @@ Every solver ships with an independent desk-scale oracle; for the on/off
 block that is a scan of the expanded quadratic form.
 """
 
-from .ao import ao_solve, user_aligned_state
+from .ao import ao_solve, matched_filter, user_aligned_state
 from .beamforming import ScaIterate, gevd_oracle, sca_solve, sca_subproblem
 from .channel_gen import (PathParams, gen_channels, linear_path_gain,
                           pathloss_db, steering_vector)

@@ -8,12 +8,14 @@ inside the individual solvers.
 
 The joint refinement exists because pure block cycling zigzags: the phase and
 beamformer blocks trade diminishing gains along a coupled valley and can take
-hundreds of rounds to settle. Ascending the phases on the envelope objective
-(beamformer re-matched in closed form after every accepted step; by Danskin's
-argument the fixed-beamformer phase gradient is exactly the envelope
-gradient) collapses that tail into the round where it occurs. The refinement
-builds the cascade rows of the switched-on elements once per call, so each
-step is four matrix-vector products plus the closed-form beamformer.
+hundreds of rounds to settle. The refinement runs the phase block's ascent
+engine (`phases._riemannian_ascent`) with a second value function, the
+envelope objective: the beamformer is re-matched in closed form at every
+trial point, and by Danskin's argument the fixed-beamformer phase gradient at
+the matched beamformer is exactly the envelope gradient. That collapses the
+tail into the round where it occurs. The cascade rows of the switched-on
+elements are built once per call, so each trial point costs two
+matrix-vector products plus the closed-form beamformer.
 """
 
 import math
@@ -25,11 +27,25 @@ from .beamforming import gevd_oracle, sca_solve
 from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
                     effective_channels, rate_gap)
 from .onoff import dinkelbach_solve, ratio_coefficients
-from .phases import mo_ascend
+from .phases import _riemannian_ascent, mo_ascend
 
-__all__ = ["user_aligned_state", "ao_solve"]
+__all__ = ["matched_filter", "user_aligned_state", "ao_solve"]
 
-LN2 = math.log(2.0)
+
+def matched_filter(ch: ChannelSet, cfg: SystemConfig,
+                   phases: np.ndarray) -> np.ndarray:
+    """Full-power matched filter to the effective user channel with every
+    surface on at the given phases; all power on antenna 0 when that channel
+    is zero."""
+    stub = SolutionState(beamformer=np.zeros(cfg.n_tx, dtype=complex),
+                         phases=phases, onoff=np.ones(cfg.n_irs, dtype=int))
+    a = effective_channels(ch, stub).eff_user
+    norm_a = np.linalg.norm(a)
+    if norm_a == 0.0:
+        w = np.zeros(cfg.n_tx, dtype=complex)
+        w[0] = math.sqrt(cfg.power_budget)
+        return w
+    return math.sqrt(cfg.power_budget) * a / norm_a
 
 
 def user_aligned_state(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
@@ -40,33 +56,18 @@ def user_aligned_state(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
     matched filter under uniform phases, align the phases to it, then match
     the filter to the aligned effective channel.
     """
-    n = cfg.n_irs * cfg.n_refl
-    ones = np.ones(n, dtype=complex)
-    x = np.ones(cfg.n_irs, dtype=int)
-    sqrt_p = math.sqrt(cfg.power_budget)
-
-    def mrt(phases):
-        sol = SolutionState(beamformer=np.zeros(cfg.n_tx, dtype=complex),
-                            phases=phases, onoff=x)
-        a = effective_channels(ch, sol).eff_user
-        norm_a = np.linalg.norm(a)
-        if norm_a == 0.0:
-            w = np.zeros(cfg.n_tx, dtype=complex)
-            w[0] = sqrt_p
-            return w
-        return sqrt_p * a / norm_a
-
-    w0 = mrt(ones)
+    w0 = matched_filter(ch, cfg, np.ones(cfg.n_irs * cfg.n_refl, dtype=complex))
     gw = np.einsum("lnt,t->ln", ch.g_ap_irs, w0)
     c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
     theta = np.where(np.abs(c) > 0.0, np.exp(-1j * np.angle(c)), 1.0 + 0.0j)
-    return SolutionState(beamformer=mrt(theta), phases=theta, onoff=x)
+    return SolutionState(beamformer=matched_filter(ch, cfg, theta), phases=theta,
+                         onoff=np.ones(cfg.n_irs, dtype=int))
 
 
-def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
-                  max_iter: int = 2000, tol: float = 1e-9, patience: int = 5):
+def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
     """Ascend the phases on the envelope objective, re-matching the beamformer
-    (closed form) after every accepted step. Returns (phases, w, value).
+    (closed form) at every trial point. Returns (phases, w, trace), with
+    trace[-1] the rate difference that (phases, w) achieves.
 
     The cascade rows of the switched-on elements, R_u = conj(h) * G and
     R_e = conj(g) * G (one row per element, n_tx columns), are built once:
@@ -74,58 +75,23 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState,
     b = conj(theta @ R_e), and the per-element amplitudes under w are
     c = R_u @ w, d = R_e @ w.
     """
-    act_idx = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
-    theta_full = np.array(sol.phases, dtype=complex)
-    if len(act_idx) == 0:
-        return theta_full, sol.beamformer, rate_gap(ch, sol, cfg)
-    g_rows = ch.g_ap_irs.reshape(-1, ch.n_tx)[act_idx]
-    rows_u = np.conj(ch.h_irs_user.reshape(-1)[act_idx])[:, None] * g_rows
-    rows_e = np.conj(ch.g_irs_eve.reshape(-1)[act_idx])[:, None] * g_rows
-    theta = theta_full[act_idx]
+    act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
+    phases = np.array(sol.phases, dtype=complex)
+    if len(act) == 0:
+        return phases, sol.beamformer, np.array([rate_gap(ch, sol, cfg)])
+    g_rows = ch.g_ap_irs.reshape(-1, ch.n_tx)[act]
+    rows_u = np.conj(ch.h_irs_user.reshape(-1)[act])[:, None] * g_rows
+    rows_e = np.conj(ch.g_irs_eve.reshape(-1)[act])[:, None] * g_rows
 
-    def response(phases):
-        eff = EffectivePair(eff_user=np.conj(phases @ rows_u),
-                            eff_eve=np.conj(phases @ rows_e))
-        w, _ = gevd_oracle(eff, cfg)
-        gain_u = abs(np.vdot(eff.eff_user, w)) ** 2
-        gain_e = abs(np.vdot(eff.eff_eve, w)) ** 2
-        value = (math.log1p(gain_u / cfg.noise_user)
-                 - math.log1p(gain_e / cfg.noise_eve)) / LN2
-        return w, value
+    def evaluate(theta):
+        w, value = gevd_oracle(EffectivePair(eff_user=np.conj(theta @ rows_u),
+                                             eff_eve=np.conj(theta @ rows_e)), cfg)
+        return value, w
 
-    w, value = response(theta)
-    step = 1.0
-    small_steps = 0
-    for _ in range(max_iter):
-        c = rows_u @ w
-        d = rows_e @ w
-        u = np.sum(theta * c)
-        e = np.sum(theta * d)
-        grad = (1.0 / LN2) * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
-                              - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
-        xi = grad - np.real(grad * np.conj(theta)) * theta
-        sq_norm = float(np.sum(np.abs(xi) ** 2))
-        if sq_norm <= 1e-300:
-            break
-        accepted = False
-        while step > 1e-18:
-            moved = theta + step * xi
-            trial = moved / np.abs(moved)
-            w_trial, trial_value = response(trial)
-            if trial_value >= value + 1e-4 * step * sq_norm:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        delta = trial_value - value
-        theta, w, value = trial, w_trial, trial_value
-        step = min(step * 2.0, 1e6)
-        small_steps = small_steps + 1 if delta < tol else 0
-        if small_steps >= patience:
-            break
-    theta_full[act_idx] = theta
-    return theta_full, w, value
+    phases[act], w, trace = _riemannian_ascent(
+        phases[act], evaluate, lambda w: (rows_u @ w, rows_e @ w), cfg,
+        max_iter=2000, tol=1e-9, patience=5)
+    return phases, w, trace
 
 
 def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
@@ -144,35 +110,26 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
     gap = rate_gap(ch, sol, cfg)
     trace = [max(0.0, gap)]
 
+    def offer(**changes):
+        # Monotone safeguard: keep the candidate only if the rate does not drop.
+        nonlocal sol, gap
+        cand = replace(sol, **changes)
+        cand_gap = rate_gap(ch, cand, cfg)
+        if cand_gap >= gap:
+            sol, gap = cand, cand_gap
+
     for _ in range(max_rounds):
         eff = effective_channels(ch, sol)
         if beamformer == "sca":
             w_new, _, _ = sca_solve(eff, cfg)
         else:
             w_new, _ = gevd_oracle(eff, cfg)
-        cand = replace(sol, beamformer=w_new)
-        cand_gap = rate_gap(ch, cand, cfg)
-        if cand_gap >= gap:
-            sol, gap = cand, cand_gap
-
-        coef = ratio_coefficients(ch, sol)
-        x_new, _ = dinkelbach_solve(coef, cfg)
-        cand = replace(sol, onoff=x_new)
-        cand_gap = rate_gap(ch, cand, cfg)
-        if cand_gap >= gap:
-            sol, gap = cand, cand_gap
-
-        theta_new, _ = mo_ascend(ch, sol, cfg)
-        cand = replace(sol, phases=theta_new)
-        cand_gap = rate_gap(ch, cand, cfg)
-        if cand_gap >= gap:
-            sol, gap = cand, cand_gap
-
+        offer(beamformer=w_new)
+        x_new, _ = dinkelbach_solve(ratio_coefficients(ch, sol), cfg)
+        offer(onoff=x_new)
+        offer(phases=mo_ascend(ch, sol, cfg)[0])
         theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
-        cand = replace(sol, phases=theta_j, beamformer=w_j)
-        cand_gap = rate_gap(ch, cand, cfg)
-        if cand_gap >= gap:
-            sol, gap = cand, cand_gap
+        offer(phases=theta_j, beamformer=w_j)
 
         trace.append(max(0.0, gap))
         if trace[-1] - trace[-2] < tol:

@@ -31,7 +31,8 @@ __all__ = [
     "gevd_oracle",
 ]
 
-LOG2E = 1.0 / math.log(2.0)
+LN2 = math.log(2.0)
+LOG2E = 1.0 / LN2
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,7 @@ def _pair_gap(eff: EffectivePair, w: np.ndarray, cfg: SystemConfig) -> float:
     """Unclamped rate difference achieved by w on the effective pair."""
     gu = abs(np.vdot(eff.eff_user, w)) ** 2
     ge = abs(np.vdot(eff.eff_eve, w)) ** 2
-    return float(np.log2(1.0 + gu / cfg.noise_user)
-                 - np.log2(1.0 + ge / cfg.noise_eve))
+    return (math.log1p(gu / cfg.noise_user) - math.log1p(ge / cfg.noise_eve)) / LN2
 
 
 def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
@@ -206,7 +206,10 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
 
     Returns (w, trace, converged) where w is the last subproblem's beamformer
     with ||w||^2 <= P and trace holds the per-iteration objectives. On budget
-    exhaustion the best (last) iterate is returned with converged=False.
+    exhaustion the best (last) iterate is returned with converged=False. As
+    in gevd_oracle, a w whose rate is not positive is replaced by the zero
+    beamformer (this happens when b is parallel to a and stronger: the loop
+    then crawls and can stop at a negative rate).
     """
     a = np.asarray(eff.eff_user, dtype=complex)
     b = np.asarray(eff.eff_eve, dtype=complex)
@@ -239,7 +242,10 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
         prev = obj
         q_anchor = iterate.q_aux
 
-    return iterate.w, np.asarray(trace), converged
+    w = iterate.w
+    if _pair_gap(eff, w, cfg) <= 0.0:
+        w = np.zeros(len(a), dtype=complex)
+    return w, np.asarray(trace), converged
 
 
 def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):

@@ -34,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ao import ao_solve
+from .ao import ao_solve, matched_filter
 from .channel_gen import gen_channels
 from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
-                    effective_channels, secrecy_rate)
+                    secrecy_rate)
 
 __all__ = [
     "ExperimentRecord",
@@ -125,17 +125,8 @@ def mrt_baseline(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
     captures transmit-side-only optimization.
     """
     ones = np.ones(cfg.n_irs * cfg.n_refl, dtype=complex)
-    x = np.ones(cfg.n_irs, dtype=int)
-    stub = SolutionState(beamformer=np.zeros(cfg.n_tx, dtype=complex),
-                         phases=ones, onoff=x)
-    a = effective_channels(ch, stub).eff_user
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        w = np.zeros(cfg.n_tx, dtype=complex)
-        w[0] = np.sqrt(cfg.power_budget)
-    else:
-        w = np.sqrt(cfg.power_budget) * a / norm_a
-    return SolutionState(beamformer=w, phases=ones, onoff=x)
+    return SolutionState(beamformer=matched_filter(ch, cfg, ones), phases=ones,
+                         onoff=np.ones(cfg.n_irs, dtype=int))
 
 
 def random_baseline(ch: ChannelSet, cfg: SystemConfig,
@@ -231,7 +222,8 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     master_seed, beamformer, schemes): identical inputs give byte-identical
     CSVs at any worker count (with timing off). The convergence experiment
     always traces the alternating optimizer; the baselines are one-shot and
-    have no trace to record.
+    have no trace to record. A sweep experiment rejects an empty grid and a
+    grid that repeats a value.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -250,16 +242,22 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     if experiment == "convergence":
         task_fn = _convergence_task
         tasks = [(cfg, t, master_seed, beamformer, timing) for t in range(trials)]
-    elif experiment == "power_sweep":
-        task_fn = _sweep_task
-        tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,
-                  "power_dbm", float(p), t, master_seed, beamformer, timing)
-                 for p in sweeps["power_sweep_dbm"] for t in range(trials)]
     else:
+        key = "power_sweep_dbm" if experiment == "power_sweep" else "element_sweep"
+        grid = [float(v) for v in sweeps[key]]
+        if not grid:
+            raise ValueError(f"{key} is empty")
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"{key} repeats a value")
         task_fn = _sweep_task
-        tasks = [(replace(cfg, n_refl=int(m)), schemes,
-                  "n_refl", float(m), t, master_seed, beamformer, timing)
-                 for m in sweeps["element_sweep"] for t in range(trials)]
+        if experiment == "power_sweep":
+            tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,
+                      "power_dbm", p, t, master_seed, beamformer, timing)
+                     for p in grid for t in range(trials)]
+        else:
+            tasks = [(replace(cfg, n_refl=int(m)), schemes,
+                      "n_refl", m, t, master_seed, beamformer, timing)
+                     for m in grid for t in range(trials)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,6 +8,12 @@ log2(1 + |e|^2/s2e) is ascended over the product of unit circles: Wirtinger
 gradient, tangent projection, elementwise renormalization as the retraction,
 Armijo backtracking on the step. Switched-off surfaces have exactly zero
 gradient and their phases are held frozen.
+
+One ascent engine serves two value functions: `mo_ascend` ascends the
+objective above with the beamformer held fixed, and the joint refinement in
+`ao` ascends its envelope, re-matching the beamformer at every trial point.
+Both hand the engine the per-element amplitudes (c, d) at accepted points,
+and the engine takes its direction from the one tangent-gradient formula.
 """
 
 import math
@@ -27,6 +33,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 GRID_MAX_ELEMENTS = 4
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,103 +49,109 @@ class PhaseGradient:
         object.__setattr__(self, "riemannian", np.asarray(self.riemannian, dtype=complex))
 
 
-def _signal_stacks(ch: ChannelSet, sol: SolutionState):
-    """Per-element amplitudes c, d (stacked over surfaces) and the element
-    activity weights from the on/off vector."""
+def _active_stacks(ch: ChannelSet, sol: SolutionState):
+    """Per-element amplitudes c, d of the switched-on elements, and their
+    indices in the stacked phase vector."""
+    act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
     gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)
-    c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
-    d = (np.conj(ch.g_irs_eve) * gw).reshape(-1)
-    active = np.repeat(sol.onoff.astype(float), ch.n_refl)
-    return c, d, active
+    c = (np.conj(ch.h_irs_user) * gw).reshape(-1)[act]
+    d = (np.conj(ch.g_irs_eve) * gw).reshape(-1)[act]
+    return c, d, act
 
 
-def _objective_from_stacks(theta, c, d, active, cfg):
-    u = np.sum(active * theta * c)
-    e = np.sum(active * theta * d)
+def _objective(theta, c, d, cfg):
+    u = np.sum(theta * c)
+    e = np.sum(theta * d)
     return (math.log1p(abs(u) ** 2 / cfg.noise_user)
             - math.log1p(abs(e) ** 2 / cfg.noise_eve)) / LN2
 
 
-def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
-                    phases: np.ndarray | None = None) -> float:
-    """Unclamped rate difference at the given (or the solution's) phases."""
-    c, d, active = _signal_stacks(ch, sol)
-    theta = sol.phases if phases is None else np.asarray(phases, dtype=complex)
-    return _objective_from_stacks(theta, c, d, active, cfg)
+def _tangent_gradient(theta, c, d, cfg):
+    """Wirtinger gradient (1/ln 2) [u conj(c) / (s2 + |u|^2) -
+    e conj(d) / (s2e + |e|^2)] at theta, and its tangent part
+    g - Re(g conj(theta)) theta. Returns (euclidean, riemannian)."""
+    u = np.sum(theta * c)
+    e = np.sum(theta * d)
+    euclidean = (1.0 / LN2) * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
+                               - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
+    return euclidean, euclidean - np.real(euclidean * np.conj(theta)) * theta
 
 
-def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
-                             cfg: SystemConfig) -> PhaseGradient:
-    """Wirtinger gradient of the phase objective and its tangent projection.
+def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience):
+    """Steepest ascent with Armijo backtracking on the product of circles.
 
-    Block l of the Euclidean gradient is
-    (1/ln 2) x_l [ u conj(c_l) / (s2 + |u|^2) - e conj(d_l) / (s2e + |e|^2) ];
-    the Riemannian part removes the radial component elementwise:
-    g - Re(g conj(theta)) theta.
+    evaluate(theta) -> (value, state) is called at every trial point;
+    amplitudes(state) -> (c, d) only at accepted points, for the gradient.
+    Trial steps are retracted by elementwise renormalization and accepted
+    only on sufficient increase, so the trace is non-decreasing. The step
+    doubles after each accepted step and halves on each rejection. Stops once
+    `patience` consecutive accepted steps improve by less than tol (a single
+    small step can be an overshoot artifact of the step-size warm start),
+    when the gradient vanishes, when backtracking fails, or at max_iter.
+    Returns (theta, state, trace).
     """
-    c, d, active = _signal_stacks(ch, sol)
-    theta = sol.phases
-    u = np.sum(active * theta * c)
-    e = np.sum(active * theta * d)
-    euclidean = active / LN2 * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
-                                - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
-    riemannian = euclidean - np.real(euclidean * np.conj(theta)) * theta
-    return PhaseGradient(euclidean=euclidean, riemannian=riemannian)
-
-
-def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
-              max_iter: int = 500, tol: float = 1e-8, armijo: float = 1e-4,
-              patience: int = 3):
-    """Riemannian gradient ascent with Armijo backtracking.
-
-    Starts from sol.phases (must be unit modulus), retracts each trial step by
-    elementwise renormalization, and accepts a step only on sufficient
-    increase, so the objective trace is non-decreasing. Stops once `patience`
-    consecutive accepted steps improve by less than tol (a single small step
-    can be an overshoot artifact of the step-size warm start), when the
-    gradient vanishes, or at max_iter. Returns (phases, trace).
-    """
-    c, d, active = _signal_stacks(ch, sol)
-    act_idx = np.flatnonzero(active > 0.0)
-    theta = np.array(sol.phases, dtype=complex)
-    value = _objective_from_stacks(theta, c, d, active, cfg)
+    value, state = evaluate(theta)
     trace = [value]
-    if len(act_idx) == 0:
-        return theta, np.asarray(trace)
-
     step = 1.0
     small_steps = 0
     for _ in range(max_iter):
-        u = np.sum(active * theta * c)
-        e = np.sum(active * theta * d)
-        grad = active / LN2 * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
-                               - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
-        xi = grad - np.real(grad * np.conj(theta)) * theta
+        _, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
         sq_norm = float(np.sum(np.abs(xi) ** 2))
         if sq_norm <= 1e-300:
             break
-
         accepted = False
         while step > 1e-18:
-            trial = theta.copy()
-            moved = theta[act_idx] + step * xi[act_idx]
-            trial[act_idx] = moved / np.abs(moved)
-            trial_value = _objective_from_stacks(trial, c, d, active, cfg)
-            if trial_value >= value + armijo * step * sq_norm:
+            moved = theta + step * xi
+            trial = moved / np.abs(moved)
+            trial_value, trial_state = evaluate(trial)
+            if trial_value >= value + ARMIJO * step * sq_norm:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-
         delta = trial_value - value
-        theta, value = trial, trial_value
+        theta, value, state = trial, trial_value, trial_state
         trace.append(value)
         step = min(step * 2.0, 1e6)
         small_steps = small_steps + 1 if delta < tol else 0
         if small_steps >= patience:
             break
-    return theta, np.asarray(trace)
+    return theta, state, np.asarray(trace)
+
+
+def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
+                    phases: np.ndarray | None = None) -> float:
+    """Unclamped rate difference at the given (or the solution's) phases."""
+    c, d, act = _active_stacks(ch, sol)
+    theta = sol.phases if phases is None else np.asarray(phases, dtype=complex)
+    return _objective(theta[act], c, d, cfg)
+
+
+def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
+                             cfg: SystemConfig) -> PhaseGradient:
+    """Wirtinger gradient of the phase objective and its tangent projection;
+    both are zero on the switched-off surfaces."""
+    c, d, act = _active_stacks(ch, sol)
+    euclidean = np.zeros(len(sol.phases), dtype=complex)
+    riemannian = np.zeros(len(sol.phases), dtype=complex)
+    euclidean[act], riemannian[act] = _tangent_gradient(sol.phases[act], c, d, cfg)
+    return PhaseGradient(euclidean=euclidean, riemannian=riemannian)
+
+
+def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
+    """Ascend the phase objective with the beamformer fixed.
+
+    Starts from sol.phases (must be unit modulus) and moves only the
+    switched-on elements. Returns (phases, trace) with a non-decreasing
+    trace of objective values.
+    """
+    c, d, act = _active_stacks(ch, sol)
+    phases = np.array(sol.phases, dtype=complex)
+    phases[act], _, trace = _riemannian_ascent(
+        phases[act], lambda theta: (_objective(theta, c, d, cfg), None),
+        lambda _: (c, d), cfg, max_iter=500, tol=1e-8, patience=3)
+    return phases, trace
 
 
 def phase_grid_oracle(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
@@ -150,27 +163,26 @@ def phase_grid_oracle(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
     best grid point on the [0, 2pi)^k lattice with `resolution` points per
     axis.
     """
-    c, d, active = _signal_stacks(ch, sol)
-    act_idx = np.flatnonzero(active > 0.0)
-    k = len(act_idx)
+    c, d, act = _active_stacks(ch, sol)
+    k = len(act)
     if k > GRID_MAX_ELEMENTS:
         raise ValueError(f"grid oracle limited to {GRID_MAX_ELEMENTS} active elements")
     theta = np.array(sol.phases, dtype=complex)
     if k == 0:
-        return theta, _objective_from_stacks(theta, c, d, active, cfg)
+        return theta, _objective(theta[act], c, d, cfg)
 
     angles = 2.0 * np.pi * np.arange(resolution) / resolution
     ring = np.exp(1j * angles)
     u_grid = np.zeros((resolution,) * k, dtype=complex)
     e_grid = np.zeros((resolution,) * k, dtype=complex)
-    for axis, idx in enumerate(act_idx):
+    for axis in range(k):
         shape = [1] * k
         shape[axis] = resolution
-        u_grid = u_grid + c[idx] * ring.reshape(shape)
-        e_grid = e_grid + d[idx] * ring.reshape(shape)
+        u_grid = u_grid + c[axis] * ring.reshape(shape)
+        e_grid = e_grid + d[axis] * ring.reshape(shape)
     values = (np.log1p(np.abs(u_grid) ** 2 / cfg.noise_user)
               - np.log1p(np.abs(e_grid) ** 2 / cfg.noise_eve)) / LN2
     flat_best = int(np.argmax(values))
     best_idx = np.unravel_index(flat_best, values.shape)
-    theta[act_idx] = ring[list(best_idx)]
+    theta[act] = ring[list(best_idx)]
     return theta, float(values[best_idx])

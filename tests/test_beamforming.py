@@ -229,6 +229,25 @@ class TestScaSolve:
         w, trace, _ = sca_solve(eff, cfg)
         assert pair_gap(eff, w, cfg) == pytest.approx(0.0, abs=1e-9)
 
+    def test_parallel_stronger_eavesdropper_never_negative(self):
+        # b = 2 e^{i phi} a: the optimum is not to transmit (rate 0). The SCA
+        # loop crawls here and often stops at its iteration cap; whatever it
+        # returns must not leak more than it delivers.
+        gen = np.random.default_rng(123)
+        cfg = desk_config(n_tx=5, power=3.0)
+        unconverged = 0
+        for k in range(200):
+            a = gen.standard_normal(5) + 1j * gen.standard_normal(5)
+            b = 2.0 * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)) * a
+            if k % 2:
+                b = b + 1e-7 * (gen.standard_normal(5) + 1j * gen.standard_normal(5))
+            eff = EffectivePair(eff_user=a, eff_eve=b)
+            w, _, converged = sca_solve(eff, cfg)
+            unconverged += not converged
+            assert pair_gap(eff, w, cfg) >= 0.0
+            assert np.linalg.norm(w) ** 2 <= cfg.power_budget + 1e-9
+        print(f"\nparallel stronger eavesdropper: {unconverged}/200 unconverged")
+
     def test_zero_user_channel_gives_zero_beamformer(self):
         cfg = desk_config(n_tx=3)
         eff = EffectivePair(eff_user=np.zeros(3, dtype=complex),

@@ -206,6 +206,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(small_cfg(), "convergence", trials=1, workers=workers)
 
+    @pytest.mark.parametrize("experiment,key,grid", [
+        ("power_sweep", "power_sweep_dbm", []),
+        ("power_sweep", "power_sweep_dbm", [10.0, 20.0, 10]),
+        ("element_sweep", "element_sweep", []),
+        ("element_sweep", "element_sweep", [4, 4.0]),
+    ])
+    def test_rejects_empty_or_repeated_grid(self, tmp_path, experiment, key, grid):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=key):
+            run_experiment(small_cfg(), experiment, trials=1, sweeps={key: grid},
+                           out_path=str(out))
+        assert not out.exists()
+
     def test_summarize_groups(self):
         records = [
             ExperimentRecord(0, "mrt", "power_dbm", 10.0, 0.5, 0, 0.0, 1),
@@ -253,6 +266,18 @@ class TestCli:
                      "--trials", "1", "--out", str(out)])
         assert code == 1
         assert "power_dBm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,message", [([], "power_sweep_dbm is empty"),
+                                              ([0, 30, 0.0], "power_sweep_dbm repeats")])
+    def test_bad_sweep_grid_fails_cleanly(self, tmp_path, capsys, grid, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "power_sweep_dbm": grid}))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "power_sweep",
+                     "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):

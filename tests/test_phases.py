@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from irs_secrecy.model import SolutionState
+from irs_secrecy import ao
+from irs_secrecy.model import SolutionState, rate_gap
 from irs_secrecy.phases import (mo_ascend, phase_grid_oracle, phase_objective,
                                 phase_objective_gradient)
 
@@ -26,6 +29,20 @@ def user_aligned_phases(ch, sol):
     gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)
     c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
     return np.where(np.abs(c) > 0.0, np.exp(-1j * np.angle(c)), 1.0 + 0.0j)
+
+
+def joint_refine(ch, sol, cfg):
+    """The envelope ascent of the AO driver, shaped like mo_ascend; checks
+    that its final value is the rate its (phases, w) achieve."""
+    phases, w, trace = ao._joint_refine(ch, cfg, sol)
+    achieved = rate_gap(ch, replace(sol, phases=phases, beamformer=w), cfg)
+    assert abs(trace[-1] - achieved) <= 1e-12
+    return phases, trace
+
+
+# Both phase blocks run on the same ascent engine.
+ASCENTS = pytest.mark.parametrize("ascend", [mo_ascend, joint_refine],
+                                  ids=["mo_ascend", "joint_refine"])
 
 
 class TestGradient:
@@ -104,23 +121,26 @@ class TestMoAscend:
             achieved = abs(np.sum(phases * c)) ** 2
             assert achieved == pytest.approx(best_gain, rel=1e-6)
 
-    def test_monotone_trace_and_unit_modulus(self, rng):
+    @ASCENTS
+    def test_monotone_trace_and_unit_modulus(self, rng, ascend):
         for _ in range(5):
             cfg = desk_config(n_tx=4, n_refl=4, n_irs=2, noise_eve=0.7)
             ch = random_channels(rng, cfg)
             sol = random_solution(rng, cfg)
-            phases, trace = mo_ascend(ch, sol, cfg)
+            phases, trace = ascend(ch, sol, cfg)
             assert np.all(np.diff(trace) >= 0.0)
             assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
 
-    def test_frozen_inactive_blocks(self, rng):
+    @ASCENTS
+    def test_frozen_inactive_blocks(self, rng, ascend):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=2)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
         sol = SolutionState(beamformer=sol.beamformer, phases=sol.phases,
                             onoff=np.array([1, 0]))
-        phases, _ = mo_ascend(ch, sol, cfg)
+        phases, _ = ascend(ch, sol, cfg)
         assert np.array_equal(phases[2:], sol.phases[2:])
+        assert not np.array_equal(phases[:2], sol.phases[:2])
 
     def test_matches_grid_oracle_small(self, rng):
         # the 50-instance sweep at resolution 720 lives in the acceptance
