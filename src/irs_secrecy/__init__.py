@@ -17,7 +17,7 @@ from .channel_gen import (PathParams, gen_channels, linear_path_gain,
 from .harness import (ExperimentRecord, consolidate_single_irs, load_config,
                       mrt_baseline, random_baseline, run_experiment)
 from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
-                    achievable_rate, dbm_to_watt, effective_channels,
+                    achievable_rate, dbm_to_watt, effective_channels, gain_gap,
                     rate_gap, secrecy_rate)
 from .onoff import (RatioCoefficients, brute_force_onoff, dinkelbach_solve,
                     ratio_coefficients, ratio_value)

@@ -37,9 +37,7 @@ def matched_filter(ch: ChannelSet, cfg: SystemConfig,
     """Full-power matched filter to the effective user channel with every
     surface on at the given phases; all power on antenna 0 when that channel
     is zero."""
-    stub = SolutionState(beamformer=np.zeros(cfg.n_tx, dtype=complex),
-                         phases=phases, onoff=np.ones(cfg.n_irs, dtype=int))
-    a = effective_channels(ch, stub).eff_user
+    a = np.conj(phases @ ch.cascade_user)
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
         w = np.zeros(cfg.n_tx, dtype=complex)
@@ -57,8 +55,7 @@ def user_aligned_state(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
     the filter to the aligned effective channel.
     """
     w0 = matched_filter(ch, cfg, np.ones(cfg.n_irs * cfg.n_refl, dtype=complex))
-    gw = np.einsum("lnt,t->ln", ch.g_ap_irs, w0)
-    c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
+    c = ch.cascade_user @ w0
     theta = np.where(np.abs(c) > 0.0, np.exp(-1j * np.angle(c)), 1.0 + 0.0j)
     return SolutionState(beamformer=matched_filter(ch, cfg, theta), phases=theta,
                          onoff=np.ones(cfg.n_irs, dtype=int))
@@ -69,19 +66,16 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
     (closed form) at every trial point. Returns (phases, w, trace), with
     trace[-1] the rate difference that (phases, w) achieves.
 
-    The cascade rows of the switched-on elements, R_u = conj(h) * G and
-    R_e = conj(g) * G (one row per element, n_tx columns), are built once:
-    the effective pair at phases theta is a = conj(theta @ R_u),
-    b = conj(theta @ R_e), and the per-element amplitudes under w are
-    c = R_u @ w, d = R_e @ w.
+    On the switched-on elements' cascade rows R_u, R_e the effective pair at
+    phases theta is a = conj(theta @ R_u), b = conj(theta @ R_e), and the
+    per-element amplitudes under w are c = R_u @ w, d = R_e @ w.
     """
     act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
     phases = np.array(sol.phases, dtype=complex)
     if len(act) == 0:
         return phases, sol.beamformer, np.array([rate_gap(ch, sol, cfg)])
-    g_rows = ch.g_ap_irs.reshape(-1, ch.n_tx)[act]
-    rows_u = np.conj(ch.h_irs_user.reshape(-1)[act])[:, None] * g_rows
-    rows_e = np.conj(ch.g_irs_eve.reshape(-1)[act])[:, None] * g_rows
+    rows_u = ch.cascade_user[act]
+    rows_e = ch.cascade_eve[act]
 
     def evaluate(theta):
         w, value = gevd_oracle(EffectivePair(eff_user=np.conj(theta @ rows_u),

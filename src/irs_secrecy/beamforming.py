@@ -14,7 +14,10 @@ the effective pair (a, b): maximize log2((1 + |a^H w|^2 / s2) /
                     certify sca_solve and by the joint phase refinement.
 
 Because a a^H and b b^H are rank one, every optimal beamformer lives in
-span{a, b}; every SCA subproblem is solved exactly over a 2x2 reduced matrix.
+span{a, b}. Both routes work on the same split of b into its part along a and
+the part b_p orthogonal to a (`_split`): the closed form reads its norms, and
+every SCA subproblem is solved exactly in the coordinates of the orthonormal
+basis (a/||a||, b_p/||b_p||), a 2x2 reduced matrix.
 """
 
 import math
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EffectivePair, SystemConfig
+from .model import LN2, EffectivePair, SystemConfig, gain_gap
 
 __all__ = [
     "ScaIterate",
@@ -31,7 +34,6 @@ __all__ = [
     "gevd_oracle",
 ]
 
-LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 
@@ -55,22 +57,23 @@ class ScaIterate:
         return (self.p_aux - self.q_aux) * LOG2E
 
 
-def _span_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (n x r, r <= 2) of span{a, b} by Gram-Schmidt."""
-    cols = []
-    for v in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)):
-        nv = np.linalg.norm(v)
-        if nv <= 0.0:
-            continue
-        w = v.copy()
-        for q in cols:
-            w = w - q * np.vdot(q, w)
-        nw = np.linalg.norm(w)
-        if nw > 1e-10 * nv:
-            cols.append(w / nw)
-    if not cols:
-        return np.zeros((len(a), 0), dtype=complex)
-    return np.column_stack(cols)
+def _split(a: np.ndarray, b: np.ndarray):
+    """Split b along a: (||a||^2, b^H a, b_p, ||b||^2, ||b_p||^2) with b_p
+    the part of b orthogonal to a (b itself when a = 0). A second pass keeps
+    b_p orthogonal to a to rounding when b is nearly parallel to a, which the
+    rate of a closed-form w depends on; b counts as parallel (b_p = 0) when
+    ||b_p|| <= 1e-10 ||b||."""
+    norm2_a = float(np.vdot(a, a).real)
+    b_dot_a = complex(np.vdot(b, a))
+    norm2_b = float(np.vdot(b, b).real)
+    if norm2_a == 0.0:
+        return norm2_a, b_dot_a, b, norm2_b, norm2_b
+    b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
+    b_perp -= (np.vdot(a, b_perp) / norm2_a) * a
+    norm2_perp = float(np.vdot(b_perp, b_perp).real)
+    if norm2_perp <= 1e-20 * norm2_b:
+        norm2_perp, b_perp = 0.0, np.zeros_like(b_perp)
+    return norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp
 
 
 def _top_eigpair_2x2(h11: float, h12: complex, h22: float):
@@ -124,38 +127,33 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
     p_budget = cfg.power_budget
     c_eve = math.exp(-q_anchor) / sigma2_e
 
-    basis = _span_basis(a, b)
-    r = basis.shape[1]
-    at = basis.conj().T @ a
-    bt = basis.conj().T @ b
-    norm_a = float(np.linalg.norm(at))
+    norm2_a, b_dot_a, b_perp, _, norm2_perp = _split(a, b)
 
     w = np.zeros(len(a), dtype=complex)
-    if r > 0 and norm_a > 0.0:
-        # Entries of at at^H and bt bt^H, as Python scalars (zero-padded
-        # when the span is one-dimensional).
-        a1, b1 = complex(at[0]), complex(bt[0])
-        a2, b2 = (complex(at[1]), complex(bt[1])) if r == 2 else (0j, 0j)
-        aa11, aa22, aa12 = abs(a1) ** 2, abs(a2) ** 2, a1 * a2.conjugate()
-        bb11, bb22, bb12 = abs(b1) ** 2, abs(b2) ** 2, b1 * b2.conjugate()
+    if norm2_a > 0.0:
+        # Coordinates in the basis (a/||a||, b_p/||b_p||): a = (||a||, 0) and
+        # b = (b1, b2) = (conj(b^H a)/||a||, ||b_p||); the span is
+        # one-dimensional when b_p = 0.
+        norm_a = math.sqrt(norm2_a)
+        b1 = b_dot_a.conjugate() / norm_a
+        b2 = math.sqrt(norm2_perp)
+        bb11, bb12 = abs(b1) ** 2, b1 * b2
 
         def top_dir(t_a):
-            # Top eigenvector of at at^H / (s2 + t_a) - c bt bt^H.
+            # Top eigenvector of a a^H / (s2 + t_a) - c b b^H.
             rho = 1.0 / (sigma2 + t_a)
-            h11 = rho * aa11 - c_eve * bb11
-            if r == 1:
+            h11 = rho * norm2_a - c_eve * bb11
+            if b2 == 0.0:
                 return h11, (1.0 + 0.0j, 0.0j)
-            h22 = rho * aa22 - c_eve * bb22
-            h12 = rho * aa12 - c_eve * bb12
-            return _top_eigpair_2x2(h11, h12, h22)
+            return _top_eigpair_2x2(h11, -c_eve * bb12, -c_eve * norm2_perp)
 
         def signal(u):
-            # |at^H u|^2
-            return abs(a1.conjugate() * u[0] + a2.conjugate() * u[1]) ** 2
+            # |a^H u|^2
+            return norm2_a * abs(u[0]) ** 2
 
         # Fixed point of t = P |a^H u(t)|^2: the signal power seen through the
         # optimal direction. |a^H u(t)|^2 is non-increasing in t, so bisect.
-        t_hi = p_budget * norm_a**2
+        t_hi = p_budget * norm2_a
         lam_hi, u = top_dir(t_hi)
         gain_hi = p_budget * signal(u) if lam_hi > 0.0 else 0.0
         if gain_hi < t_hi:
@@ -170,13 +168,14 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
                     hi = mid
 
         alpha = signal(u)
-        beta = abs(b1.conjugate() * u[0] + b2.conjugate() * u[1]) ** 2
+        beta = abs(b1.conjugate() * u[0] + b2 * u[1]) ** 2
         s = _best_power(alpha, beta, sigma2, c_eve, p_budget)
         if s > 0.0:
-            # For nearly parallel a and b the Gram-Schmidt basis is
-            # orthonormal only to ~1e-9: put w exactly on ||w||^2 = s and
-            # read the signal powers off w itself.
-            v = basis @ np.array(u[:r])
+            # Put w exactly on ||w||^2 = s and read the signal powers off w
+            # itself.
+            v = (u[0] / norm_a) * a
+            if b2 > 0.0:
+                v = v + (u[1] / b2) * b_perp
             w = math.sqrt(s) / np.linalg.norm(v) * v
 
     t_a = abs(np.vdot(a, w)) ** 2
@@ -188,21 +187,18 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
 
 def _pair_gap(eff: EffectivePair, w: np.ndarray, cfg: SystemConfig) -> float:
     """Unclamped rate difference achieved by w on the effective pair."""
-    gu = abs(np.vdot(eff.eff_user, w)) ** 2
-    ge = abs(np.vdot(eff.eff_eve, w)) ** 2
-    return (math.log1p(gu / cfg.noise_user) - math.log1p(ge / cfg.noise_eve)) / LN2
+    return gain_gap(abs(np.vdot(eff.eff_user, w)) ** 2,
+                    abs(np.vdot(eff.eff_eve, w)) ** 2, cfg)
 
 
-def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
-              tol: float = 1e-6, init: str = "mrt",
-              rng: np.random.Generator | None = None):
+def sca_solve(eff: EffectivePair, cfg: SystemConfig):
     """Run the successive convex approximation loop.
 
-    Starting from a feasible w0 (matched filter by default, or a random
-    direction with init="random"), anchor the eavesdropper linearization at
-    the current q, solve the convex subproblem exactly, and move the anchor
-    to the new optimum. The subproblem objective sequence is non-decreasing;
-    the loop stops once successive values change by less than tol.
+    Starting from the full-power matched filter w0 = sqrt(P) a/||a||, anchor
+    the eavesdropper linearization at the current q, solve the convex
+    subproblem exactly, and move the anchor to the new optimum. The
+    subproblem objective sequence is non-decreasing; the loop stops once
+    successive values change by less than 1e-6, or after 50 subproblems.
 
     Returns (w, trace, converged) where w is the last subproblem's beamformer
     with ||w||^2 <= P and trace holds the per-iteration objectives. On budget
@@ -218,25 +214,17 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig, max_iter: int = 50,
     if norm_a == 0.0:
         return np.zeros(len(a), dtype=complex), np.zeros(0), True
 
-    if init == "mrt":
-        w0 = math.sqrt(p_budget) * a / norm_a
-    elif init == "random":
-        gen = rng if rng is not None else np.random.default_rng(0)
-        v = gen.standard_normal(len(a)) + 1j * gen.standard_normal(len(a))
-        w0 = math.sqrt(p_budget) * v / np.linalg.norm(v)
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
-
+    w0 = math.sqrt(p_budget) * a / norm_a
     q_anchor = math.log1p(abs(np.vdot(b, w0)) ** 2 / cfg.noise_eve)
     trace = []
     prev = None
     converged = False
     iterate = None
-    for _ in range(max_iter):
+    for _ in range(50):
         iterate = sca_subproblem(eff, cfg, q_anchor)
         obj = iterate.objective
         trace.append(obj)
-        if prev is not None and abs(obj - prev) < tol:
+        if prev is not None and abs(obj - prev) < 1e-6:
             converged = True
             break
         prev = obj
@@ -271,25 +259,16 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     free of cancellation. Returns (w, rate) with w = sqrt(P) u/||u||, or the
     zero beamformer with rate 0 when not transmitting is optimal (lam <= 1,
     or the rate w achieves is not positive because lam exceeds 1 only by
-    rounding). As the span basis of the SCA route, b counts as parallel to a
-    when ||b_p|| <= 1e-10 ||b||.
+    rounding). b counts as parallel to a (b_p = 0) by the threshold of
+    `_split`, which the SCA route shares.
     """
     a = np.asarray(eff.eff_user, dtype=complex)
     b = np.asarray(eff.eff_eve, dtype=complex)
     zero = np.zeros(len(a), dtype=complex)
-    norm2_a = np.vdot(a, a).real
+    norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp = _split(a, b)
     if norm2_a == 0.0:
         return zero, 0.0
     p_budget = cfg.power_budget
-    b_dot_a = complex(np.vdot(b, a))
-    b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
-    # A second pass keeps b_p orthogonal to a to rounding when b is nearly
-    # parallel to a; the rate of the returned w depends on it.
-    b_perp -= (np.vdot(a, b_perp) / norm2_a) * a
-    norm2_b = np.vdot(b, b).real
-    norm2_perp = np.vdot(b_perp, b_perp).real
-    if norm2_perp <= 1e-20 * norm2_b:
-        norm2_perp, b_perp = 0.0, zero
     g_a = p_budget * norm2_a / cfg.noise_user
     g_b = p_budget * norm2_b / cfg.noise_eve
     g_p = p_budget * norm2_perp / cfg.noise_eve

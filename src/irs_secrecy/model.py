@@ -10,6 +10,7 @@ Unit conventions: powers in watts (dBm only at the config boundary), distances
 in meters, rates in bits/s/Hz (all logs base 2).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "dbm_to_watt",
     "effective_channels",
     "achievable_rate",
+    "gain_gap",
     "rate_gap",
     "secrecy_rate",
 ]
@@ -32,6 +34,8 @@ MAX_SURFACES = 24
 # Feasibility slacks used by SolutionState.validate.
 POWER_TOL = 1e-9
 MODULUS_TOL = 1e-9
+
+LN2 = math.log(2.0)
 
 
 def dbm_to_watt(p_dbm: float) -> float:
@@ -118,11 +122,18 @@ class SystemConfig:
 @dataclass(frozen=True)
 class ChannelSet:
     """One channel realization: per-surface AP->IRS matrices and IRS->user /
-    IRS->eavesdropper vectors, stacked along the leading surface axis."""
+    IRS->eavesdropper vectors, stacked along the leading surface axis.
+
+    The solvers read only the derived, read-only cascade rows: row k of
+    cascade_user is conj(h_k) G_k for element k of the stacked phase vector,
+    with G_k its row of g_ap_irs (shape (L * N_r, N_t)); likewise cascade_eve.
+    """
 
     g_ap_irs: np.ndarray    # (L, N_r, N_t) complex
     h_irs_user: np.ndarray  # (L, N_r) complex
     g_irs_eve: np.ndarray   # (L, N_r) complex
+    cascade_user: np.ndarray = field(init=False, repr=False, compare=False)
+    cascade_eve: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g_ap_irs, dtype=complex)
@@ -138,6 +149,11 @@ class ChannelSet:
         object.__setattr__(self, "g_ap_irs", g)
         object.__setattr__(self, "h_irs_user", h)
         object.__setattr__(self, "g_irs_eve", e)
+        g_rows = g.reshape(-1, g.shape[2])
+        for name, v in (("cascade_user", h), ("cascade_eve", e)):
+            rows = np.conj(v).reshape(-1, 1) * g_rows
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @property
     def n_irs(self) -> int:
@@ -215,29 +231,30 @@ def effective_channels(ch: ChannelSet, sol: SolutionState) -> EffectivePair:
     """Aggregate the per-surface cascades into the effective pair (a, b).
 
     a^H = sum_l x_l h_l^H diag(theta_l) G_l, and b^H likewise with the
-    eavesdropper vectors.
+    eavesdropper vectors: one product of the on/off-weighted phases with the
+    cascade rows.
     """
-    n_irs, n_refl, _ = ch.g_ap_irs.shape
-    if sol.phases.shape != (n_irs * n_refl,):
+    if sol.phases.shape != (ch.n_irs * ch.n_refl,):
         raise ValueError("phase vector does not match channel dimensions")
-    if sol.onoff.shape != (n_irs,):
+    if sol.onoff.shape != (ch.n_irs,):
         raise ValueError("onoff vector does not match channel dimensions")
-    theta = sol.phase_blocks(n_refl)
-    x = sol.onoff.astype(float)
-    # row_l = h_l^H diag(theta_l) G_l, one row per surface
-    rows_user = np.einsum("ln,lnt->lt", np.conj(ch.h_irs_user) * theta, ch.g_ap_irs)
-    rows_eve = np.einsum("ln,lnt->lt", np.conj(ch.g_irs_eve) * theta, ch.g_ap_irs)
-    a = np.conj(np.sum(x[:, None] * rows_user, axis=0))
-    b = np.conj(np.sum(x[:, None] * rows_eve, axis=0))
-    return EffectivePair(eff_user=a, eff_eve=b)
+    weights = np.repeat(sol.onoff, ch.n_refl) * sol.phases
+    return EffectivePair(eff_user=np.conj(weights @ ch.cascade_user),
+                         eff_eve=np.conj(weights @ ch.cascade_eve))
 
 
 def achievable_rate(eff: np.ndarray, w: np.ndarray, noise: float) -> float:
-    """log2(1 + |eff^H w|^2 / noise) in bits/s/Hz."""
+    """log1p(|eff^H w|^2 / noise) / ln 2 in bits/s/Hz."""
     if not noise > 0.0:
         raise ValueError("noise power must be positive")
-    gain = abs(np.vdot(eff, w)) ** 2
-    return float(np.log2(1.0 + gain / noise))
+    return math.log1p(abs(np.vdot(eff, w)) ** 2 / noise) / LN2
+
+
+def gain_gap(gain_user: float, gain_eve: float, cfg: SystemConfig) -> float:
+    """Unclamped rate difference (log1p(gain_user / s2) -
+    log1p(gain_eve / s2e)) / ln 2 of the received signal powers, in bits."""
+    return (math.log1p(gain_user / cfg.noise_user)
+            - math.log1p(gain_eve / cfg.noise_eve)) / LN2
 
 
 def rate_gap(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig) -> float:
@@ -247,9 +264,8 @@ def rate_gap(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig) -> float:
     gradient at zero and would stall them.
     """
     eff = effective_channels(ch, sol)
-    rate_user = achievable_rate(eff.eff_user, sol.beamformer, cfg.noise_user)
-    rate_eve = achievable_rate(eff.eff_eve, sol.beamformer, cfg.noise_eve)
-    return rate_user - rate_eve
+    return gain_gap(abs(np.vdot(eff.eff_user, sol.beamformer)) ** 2,
+                    abs(np.vdot(eff.eff_eve, sol.beamformer)) ** 2, cfg)
 
 
 def secrecy_rate(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig) -> float:

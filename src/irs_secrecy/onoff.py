@@ -79,10 +79,11 @@ def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
 
     The on/off entries of sol are ignored; selection happens through x.
     """
-    theta = sol.phase_blocks(ch.n_refl)
-    gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)  # G_l w per surface
-    v_user = np.einsum("ln,ln->l", np.conj(ch.h_irs_user) * theta, gw)
-    v_eve = np.einsum("ln,ln->l", np.conj(ch.g_irs_eve) * theta, gw)
+    def per_surface(rows):
+        return (sol.phases * (rows @ sol.beamformer)).reshape(-1, ch.n_refl).sum(axis=1)
+
+    v_user = per_surface(ch.cascade_user)
+    v_eve = per_surface(ch.cascade_eve)
 
     def expand(v):
         lin = np.abs(v) ** 2

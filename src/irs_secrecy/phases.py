@@ -1,13 +1,14 @@
 """Unit-modulus phase optimization by Riemannian gradient ascent.
 
 For fixed beamformer and on/off pattern the objective reduces to two complex
-amplitudes, u = sum_l x_l theta_l^T c_l (user) and e = sum_l x_l theta_l^T d_l
-(eavesdropper), with c_l = diag(conj(h_l)) G_l w and d_l the eavesdropper
-analogue. The unclamped rate difference log2(1 + |u|^2/s2) -
-log2(1 + |e|^2/s2e) is ascended over the product of unit circles: Wirtinger
-gradient, tangent projection, elementwise renormalization as the retraction,
-Armijo backtracking on the step. Switched-off surfaces have exactly zero
-gradient and their phases are held frozen.
+amplitudes, u = sum_k theta_k c_k (user) and e = sum_k theta_k d_k
+(eavesdropper), summed over the switched-on elements k, with c = R_u w and
+d = R_e w for the cascade rows R_u, R_e of the ChannelSet. The unclamped rate
+difference `model.gain_gap(|u|^2, |e|^2)` is ascended over the product of
+unit circles: Wirtinger gradient, tangent projection, elementwise
+renormalization as the retraction, Armijo backtracking on the step.
+Switched-off surfaces have exactly zero gradient and their phases are held
+frozen.
 
 One ascent engine serves two value functions: `mo_ascend` ascends the
 objective above with the beamformer held fixed, and the joint refinement in
@@ -16,12 +17,11 @@ Both hand the engine the per-element amplitudes (c, d) at accepted points,
 and the engine takes its direction from the one tangent-gradient formula.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelSet, SolutionState, SystemConfig
+from .model import LN2, ChannelSet, SolutionState, SystemConfig, gain_gap
 
 __all__ = [
     "PhaseGradient",
@@ -31,7 +31,6 @@ __all__ = [
     "phase_grid_oracle",
 ]
 
-LN2 = math.log(2.0)
 GRID_MAX_ELEMENTS = 4
 ARMIJO = 1e-4
 
@@ -53,17 +52,12 @@ def _active_stacks(ch: ChannelSet, sol: SolutionState):
     """Per-element amplitudes c, d of the switched-on elements, and their
     indices in the stacked phase vector."""
     act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
-    gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)
-    c = (np.conj(ch.h_irs_user) * gw).reshape(-1)[act]
-    d = (np.conj(ch.g_irs_eve) * gw).reshape(-1)[act]
-    return c, d, act
+    return (ch.cascade_user[act] @ sol.beamformer,
+            ch.cascade_eve[act] @ sol.beamformer, act)
 
 
 def _objective(theta, c, d, cfg):
-    u = np.sum(theta * c)
-    e = np.sum(theta * d)
-    return (math.log1p(abs(u) ** 2 / cfg.noise_user)
-            - math.log1p(abs(e) ** 2 / cfg.noise_eve)) / LN2
+    return gain_gap(abs(np.sum(theta * c)) ** 2, abs(np.sum(theta * d)) ** 2, cfg)
 
 
 def _tangent_gradient(theta, c, d, cfg):
@@ -87,7 +81,9 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience
     doubles after each accepted step and halves on each rejection. Stops once
     `patience` consecutive accepted steps improve by less than tol (a single
     small step can be an overshoot artifact of the step-size warm start),
-    when the gradient vanishes, when backtracking fails, or at max_iter.
+    at a stationary point (||xi||^2 <= 1e-20 ||g||^2: a phase-invariant
+    objective leaves a rounding-level tangent part xi of the gradient g),
+    when backtracking fails, or at max_iter.
     Returns (theta, state, trace).
     """
     value, state = evaluate(theta)
@@ -95,9 +91,9 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience
     step = 1.0
     small_steps = 0
     for _ in range(max_iter):
-        _, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
+        g, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
         sq_norm = float(np.sum(np.abs(xi) ** 2))
-        if sq_norm <= 1e-300:
+        if sq_norm <= max(1e-20 * np.vdot(g, g).real, 1e-300):
             break
         accepted = False
         while step > 1e-18:

@@ -276,13 +276,6 @@ class TestScaSolve:
                 _, rate_ref = gevd_oracle(eff, cfg)
                 assert pair_gap(eff, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
 
-    def test_random_init_mode(self, rng):
-        cfg = desk_config(n_tx=4)
-        eff = random_pair(rng, 4)
-        w, _, _ = sca_solve(eff, cfg, init="random", rng=np.random.default_rng(3))
-        _, rate_ref = gevd_oracle(eff, cfg)
-        assert pair_gap(eff, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
-
 
 class TestGevdOracle:
     def test_orthogonal_channels(self, rng):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from irs_secrecy import harness
 from irs_secrecy.ao import ao_solve
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.harness import (CSV_HEADER, SCHEMES, ExperimentRecord,
@@ -218,6 +219,29 @@ class TestRunExperiment:
             run_experiment(small_cfg(), experiment, trials=1, sweeps={key: grid},
                            out_path=str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
+    def test_eavesdropper_at_user_gives_valid_solutions(self, monkeypatch, beamformer):
+        # every solution the harness produces is feasible with a finite,
+        # non-decreasing trace, even with no spatial advantage to exploit
+        solves = []
+
+        def checked_ao_solve(ch, cfg, **kwargs):
+            sol, trace = ao_solve(ch, cfg, **kwargs)
+            sol.validate(cfg)
+            assert np.all(np.isfinite(trace))
+            assert np.all(np.diff(trace) >= 0.0)
+            solves.append(kwargs["beamformer"])
+            return sol, trace
+
+        monkeypatch.setattr(harness, "ao_solve", checked_ao_solve)
+        cfg = small_cfg(eve_position=SystemConfig().user_position)
+        records = run_experiment(cfg, "power_sweep", trials=1, beamformer=beamformer,
+                                 sweeps={"power_sweep_dbm": [0.0, 40.0]})
+        assert len(records) == 2 * len(SCHEMES)
+        assert solves == [beamformer] * 4  # ao-multi-irs and single-irs
+        for r in records:
+            assert np.isfinite(r.secrecy_rate) and r.secrecy_rate >= 0.0
 
     def test_summarize_groups(self):
         records = [

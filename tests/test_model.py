@@ -63,6 +63,20 @@ class TestEffectiveChannels:
         eff = effective_channels(ch, sol)
         assert np.allclose(np.conj(expect), eff.eff_user, rtol=1e-12, atol=1e-12)
 
+    def test_cascade_rows_are_per_element_products(self, rng):
+        cfg = desk_config(n_tx=5, n_refl=4, n_irs=3)
+        for _ in range(5):
+            ch = random_channels(rng, cfg)
+            assert ch.cascade_user.shape == (cfg.n_irs * cfg.n_refl, cfg.n_tx)
+            for l in range(cfg.n_irs):
+                for k in range(cfg.n_refl):
+                    row = l * cfg.n_refl + k
+                    assert np.array_equal(ch.cascade_user[row],
+                                          np.conj(ch.h_irs_user[l, k]) * ch.g_ap_irs[l, k])
+                    assert np.array_equal(ch.cascade_eve[row],
+                                          np.conj(ch.g_irs_eve[l, k]) * ch.g_ap_irs[l, k])
+            assert not ch.cascade_user.flags.writeable
+
     def test_dimension_mismatch_rejected(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=2)
         ch = random_channels(rng, cfg)
@@ -144,6 +158,12 @@ class TestSecrecyRate:
         # I = 2 (|h|^2 = 3), I_e = 0.5 (|g|^2 = 2^0.5 - 1)
         ch, sol, cfg = _scalar_instance(3.0, 2.0 ** 0.5 - 1.0)
         assert secrecy_rate(ch, sol, cfg) == pytest.approx(1.5, abs=1e-12)
+
+    def test_resolves_tiny_snr(self):
+        # log2(1 + x) rounds 1 + 1e-20 to 1 and would report 0 bits
+        ch, sol, cfg = _scalar_instance(1e-20, 0.0)
+        assert rate_gap(ch, sol, cfg) == pytest.approx(1e-20 / np.log(2.0),
+                                                       rel=1e-12, abs=0.0)
 
     def test_clamped_at_zero(self):
         ch, sol, cfg = _scalar_instance(2.0 ** 0.5 - 1.0, 3.0)
