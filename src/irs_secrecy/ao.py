@@ -1,21 +1,21 @@
 """Alternating optimization driver: beamformer -> on/off -> phases.
 
-Each round runs the three block solvers in sequence, then a joint
-phase/beamformer refinement. Every step's output is accepted only when the
-true (unclamped) rate difference does not decrease, so the reported
+Each round runs the beamformer block, the on/off block, then the phase block
+as a joint phase/beamformer refinement. Every step's output is accepted only
+when the true (unclamped) rate difference does not decrease, so the reported
 secrecy-rate trace is non-decreasing by construction regardless of any wobble
 inside the individual solvers.
 
-The joint refinement exists because pure block cycling zigzags: the phase and
-beamformer blocks trade diminishing gains along a coupled valley and can take
-hundreds of rounds to settle. The refinement runs the phase block's ascent
-engine (`phases._riemannian_ascent`) with a second value function, the
+The phase block is the joint refinement because pure block cycling zigzags:
+the phase and beamformer blocks trade diminishing gains along a coupled
+valley and can take hundreds of rounds to settle. The refinement runs the
+conjugate-gradient ascent engine (`phases._riemannian_ascent`) on the
 envelope objective: the beamformer is re-matched in closed form at every
 trial point, and by Danskin's argument the fixed-beamformer phase gradient at
-the matched beamformer is exactly the envelope gradient. That collapses the
-tail into the round where it occurs. The cascade rows of the switched-on
-elements are built once per call, so each trial point costs two
-matrix-vector products plus the closed-form beamformer.
+the matched beamformer is exactly the envelope gradient. A fixed-beamformer
+phase pass (`mo_ascend`) before it would only move the refine's start. The
+cascade rows of the switched-on elements are built once per call, so each
+trial point costs two matrix-vector products plus the closed-form beamformer.
 """
 
 import math
@@ -27,7 +27,8 @@ from .beamforming import gevd_oracle, sca_solve
 from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
                     effective_channels, rate_gap)
 from .onoff import dinkelbach_solve, ratio_coefficients
-from .phases import _riemannian_ascent, mo_ascend
+# Bound but unused: bench/test_bench.py::test_missing_function_is_reported_absent deletes ao.mo_ascend.
+from .phases import _riemannian_ascent, mo_ascend  # noqa: F401
 
 __all__ = ["matched_filter", "user_aligned_state", "ao_solve"]
 
@@ -84,7 +85,7 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
 
     phases[act], w, trace = _riemannian_ascent(
         phases[act], evaluate, lambda w: (rows_u @ w, rows_e @ w), cfg,
-        max_iter=2000, tol=1e-9, patience=5)
+        max_iter=2000, tol=1e-12, patience=5)
     return phases, w, trace
 
 
@@ -121,7 +122,6 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
         offer(beamformer=w_new)
         x_new, _ = dinkelbach_solve(ratio_coefficients(ch, sol), cfg)
         offer(onoff=x_new)
-        offer(phases=mo_ascend(ch, sol, cfg)[0])
         theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
         offer(phases=theta_j, beamformer=w_j)
 

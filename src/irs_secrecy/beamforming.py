@@ -119,15 +119,20 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
     consistent tA, found by bisection, and the power along it has a closed
     form.
     """
-    if not np.isfinite(q_anchor):
-        raise ValueError("q_anchor must be finite")
     a = np.asarray(eff.eff_user, dtype=complex)
     b = np.asarray(eff.eff_eve, dtype=complex)
+    return _subproblem(a, b, _split(a, b), cfg, q_anchor)
+
+
+def _subproblem(a, b, split, cfg: SystemConfig, q_anchor: float) -> ScaIterate:
+    """sca_subproblem on the arrays a, b, given their `_split`."""
+    if not np.isfinite(q_anchor):
+        raise ValueError("q_anchor must be finite")
     sigma2, sigma2_e = cfg.noise_user, cfg.noise_eve
     p_budget = cfg.power_budget
     c_eve = math.exp(-q_anchor) / sigma2_e
 
-    norm2_a, b_dot_a, b_perp, _, norm2_perp = _split(a, b)
+    norm2_a, b_dot_a, b_perp, _, norm2_perp = split
 
     w = np.zeros(len(a), dtype=complex)
     if norm2_a > 0.0:
@@ -216,12 +221,13 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig):
 
     w0 = math.sqrt(p_budget) * a / norm_a
     q_anchor = math.log1p(abs(np.vdot(b, w0)) ** 2 / cfg.noise_eve)
+    split = _split(a, b)
     trace = []
     prev = None
     converged = False
     iterate = None
     for _ in range(50):
-        iterate = sca_subproblem(eff, cfg, q_anchor)
+        iterate = _subproblem(a, b, split, cfg, q_anchor)
         obj = iterate.objective
         trace.append(obj)
         if prev is not None and abs(obj - prev) < 1e-6:

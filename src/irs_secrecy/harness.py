@@ -261,7 +261,8 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task_fn, tasks))
+            chunks = list(pool.map(task_fn, tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         chunks = [task_fn(task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]

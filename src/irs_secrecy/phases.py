@@ -5,16 +5,16 @@ amplitudes, u = sum_k theta_k c_k (user) and e = sum_k theta_k d_k
 (eavesdropper), summed over the switched-on elements k, with c = R_u w and
 d = R_e w for the cascade rows R_u, R_e of the ChannelSet. The unclamped rate
 difference `model.gain_gap(|u|^2, |e|^2)` is ascended over the product of
-unit circles: Wirtinger gradient, tangent projection, elementwise
-renormalization as the retraction, Armijo backtracking on the step.
-Switched-off surfaces have exactly zero gradient and their phases are held
-frozen.
+unit circles by Riemannian conjugate gradient: Wirtinger gradient, tangent
+projection (also the transport), Polak-Ribiere+ directions, renormalization
+as the retraction, Armijo backtracking. Switched-off surfaces have exactly
+zero gradient and their phases are held frozen.
 
 One ascent engine serves two value functions: `mo_ascend` ascends the
 objective above with the beamformer held fixed, and the joint refinement in
-`ao` ascends its envelope, re-matching the beamformer at every trial point.
-Both hand the engine the per-element amplitudes (c, d) at accepted points,
-and the engine takes its direction from the one tangent-gradient formula.
+`ao` (the AO round's phase block) ascends its envelope, re-matching the
+beamformer at every trial point. Both hand the engine the per-element
+amplitudes (c, d) at accepted points.
 """
 
 from dataclasses import dataclass
@@ -60,6 +60,11 @@ def _objective(theta, c, d, cfg):
     return gain_gap(abs(np.sum(theta * c)) ** 2, abs(np.sum(theta * d)) ** 2, cfg)
 
 
+def _transport(theta, v):
+    """Tangent projection at theta, v - Re(v conj(theta)) theta."""
+    return v - np.real(v * np.conj(theta)) * theta
+
+
 def _tangent_gradient(theta, c, d, cfg):
     """Wirtinger gradient (1/ln 2) [u conj(c) / (s2 + |u|^2) -
     e conj(d) / (s2e + |e|^2)] at theta, and its tangent part
@@ -68,39 +73,52 @@ def _tangent_gradient(theta, c, d, cfg):
     e = np.sum(theta * d)
     euclidean = (1.0 / LN2) * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
                                - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
-    return euclidean, euclidean - np.real(euclidean * np.conj(theta)) * theta
+    return euclidean, _transport(theta, euclidean)
 
 
 def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience):
-    """Steepest ascent with Armijo backtracking on the product of circles.
+    """Polak-Ribiere+ conjugate-gradient ascent on the product of circles.
 
     evaluate(theta) -> (value, state) is called at every trial point;
     amplitudes(state) -> (c, d) only at accepted points, for the gradient.
-    Trial steps are retracted by elementwise renormalization and accepted
-    only on sufficient increase, so the trace is non-decreasing. The step
-    doubles after each accepted step and halves on each rejection. Stops once
-    `patience` consecutive accepted steps improve by less than tol (a single
-    small step can be an overshoot artifact of the step-size warm start),
-    at a stationary point (||xi||^2 <= 1e-20 ||g||^2: a phase-invariant
-    objective leaves a rounding-level tangent part xi of the gradient g),
-    when backtracking fails, or at max_iter.
+    The direction d = xi + beta P(d_prev), with xi the tangent gradient, P
+    the transport `_transport` and beta = max(0, Re<xi - P(xi_prev), xi> /
+    ||xi_prev||^2), restarts at xi whenever Re<d, xi> <= 0. Trial steps are
+    retracted by elementwise renormalization and accepted only on sufficient
+    increase along the slope Re<d, xi> (Armijo), so the trace is
+    non-decreasing. The step doubles after each accepted step and halves on
+    each rejection. Stops once `patience` consecutive accepted steps improve
+    by less than tol (a single small step can be an overshoot artifact of the
+    step-size warm start), at a stationary point (||xi||^2 <= 1e-20 ||g||^2:
+    a phase-invariant objective leaves a rounding-level tangent part xi of
+    the gradient g), when backtracking fails, or at max_iter.
     Returns (theta, state, trace).
     """
     value, state = evaluate(theta)
     trace = [value]
     step = 1.0
     small_steps = 0
+    xi_prev = direction = None
     for _ in range(max_iter):
         g, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
-        sq_norm = float(np.sum(np.abs(xi) ** 2))
+        sq_norm = float(np.vdot(xi, xi).real)
         if sq_norm <= max(1e-20 * np.vdot(g, g).real, 1e-300):
             break
+        slope = 0.0
+        if direction is not None:
+            beta = max(0.0, np.vdot(xi - _transport(theta, xi_prev), xi).real
+                       / float(np.vdot(xi_prev, xi_prev).real))
+            direction = xi + beta * _transport(theta, direction)
+            slope = float(np.vdot(direction, xi).real)
+        if slope <= 0.0:
+            direction, slope = xi, sq_norm
+        xi_prev = xi
         accepted = False
         while step > 1e-18:
-            moved = theta + step * xi
+            moved = theta + step * direction
             trial = moved / np.abs(moved)
             trial_value, trial_state = evaluate(trial)
-            if trial_value >= value + ARMIJO * step * sq_norm:
+            if trial_value >= value + ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5

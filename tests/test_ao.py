@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_secrecy import harness
+from irs_secrecy import ao, harness
 from irs_secrecy.ao import ao_solve, user_aligned_state
 from irs_secrecy.beamforming import gevd_oracle, sca_solve
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
                                effective_channels, rate_gap, secrecy_rate)
 from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
-from irs_secrecy.phases import mo_ascend
+from irs_secrecy.phases import _tangent_gradient, mo_ascend
 
 from conftest import desk_config, random_channels
 
@@ -113,6 +113,24 @@ class TestAoSolve:
 
         theta_new, _ = mo_ascend(ch, sol, cfg)
         assert rate_gap(ch, replace(sol, phases=theta_new), cfg) - gap < tol
+
+
+class TestJointRefine:
+    def test_ends_at_stationary_point(self):
+        # Stopping by patience far from a stationary point leaves a tangent
+        # gradient of up to a third of the gradient on this batch; the
+        # refine must return a point where it is negligible.
+        base, _ = harness.load_config(None)
+        worst = 0.0
+        for power_dbm in (0.0, 20.0, 40.0):
+            cfg = replace(base, power_budget=dbm_to_watt(power_dbm))
+            for t in range(20):
+                ch = gen_channels(cfg, harness._stream(888, t, 0))
+                phases, w, _ = ao._joint_refine(ch, cfg, user_aligned_state(ch, cfg))
+                g, xi = _tangent_gradient(phases, ch.cascade_user @ w,
+                                          ch.cascade_eve @ w, cfg)
+                worst = max(worst, np.linalg.norm(xi) / np.linalg.norm(g))
+        assert worst <= 1e-3
 
 
 class TestProperties:

@@ -163,6 +163,18 @@ class TestRunExperiment:
                        workers=3, **kwargs)
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_chunked_dispatch_byte_identical(self, tmp_path):
+        # 80 tasks go out in chunks of 10 (2 workers) and of 6 (3 workers,
+        # the last chunk shorter): the CSV must not depend on the split.
+        cfg = small_cfg()
+        paths = [tmp_path / f"w{workers}.csv" for workers in (1, 2, 3)]
+        for workers, path in zip((1, 2, 3), paths):
+            run_experiment(cfg, "power_sweep", trials=40, out_path=str(path),
+                           sweeps={"power_sweep_dbm": [10.0, 30.0]},
+                           master_seed=13, schemes=["mrt", "random-bf"],
+                           workers=workers)
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
     def test_convergence_rows_trace_rounds(self):
         cfg = small_cfg()
         records = run_experiment(cfg, "convergence", trials=1, master_seed=11)
