@@ -5,8 +5,9 @@ import pytest
 
 from irs_secrecy import ao
 from irs_secrecy.model import SolutionState, rate_gap
-from irs_secrecy.phases import (mo_ascend, phase_grid_oracle, phase_objective,
-                                phase_objective_gradient)
+from irs_secrecy.phases import (ARMIJO, _riemannian_ascent, _tangent_gradient,
+                                _transport, mo_ascend, phase_grid_oracle,
+                                phase_objective, phase_objective_gradient)
 
 from conftest import desk_config, random_channels, random_solution
 
@@ -159,6 +160,32 @@ class TestMoAscend:
             _, trace = mo_ascend(ch, aligned, cfg)
             _, best = phase_grid_oracle(ch, aligned, cfg, resolution=720)
             assert trace[-1] >= best - 1e-3
+
+
+class TestAscentEngine:
+    def test_armijo_test_runs_along_the_search_direction(self):
+        # Scripted values: the first trial is accepted, the first conjugate
+        # step (step 2) gains halfway between the Armijo thresholds along
+        # Re<d, xi> and along ||xi||^2, and every later trial loses. The
+        # engine must decide by Re<d, xi>.
+        cfg = desk_config(noise_eve=0.5)
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        theta0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
+        _, xi0 = _tangent_gradient(theta0, c, d, cfg)
+        theta1 = (theta0 + xi0) / np.abs(theta0 + xi0)
+        _, xi1 = _tangent_gradient(theta1, c, d, cfg)
+        beta = max(0.0, np.vdot(xi1 - _transport(theta1, xi0), xi1).real
+                   / np.vdot(xi0, xi0).real)
+        slope = np.vdot(xi1 + beta * _transport(theta1, xi0), xi1).real
+        sq_norm = np.vdot(xi1, xi1).real
+        assert slope > 0.0 and abs(slope - sq_norm) > 0.01 * sq_norm
+        values = iter([0.0, 1.0, 1.0 + ARMIJO * 2.0 * (slope + sq_norm) / 2.0])
+        _, _, trace = _riemannian_ascent(
+            theta0, lambda theta: (next(values, -1.0), None), lambda _: (c, d),
+            cfg, max_iter=2, tol=0.0, patience=10)
+        assert len(trace) == (3 if slope < sq_norm else 2)
 
 
 class TestGlobalPhaseInvariance:
