@@ -1,11 +1,12 @@
 """Secrecy-rate maximization for a multi-IRS mmWave downlink.
 
-Library + CLI simulator that jointly optimizes transmit beamforming
-(successive convex approximation, each convex subproblem solved exactly for
-the beamformer vector), per-surface on/off switching (exact enumeration of
-the rate ratio over all subset sums of the per-surface amplitudes) and
-unit-modulus phase shifts (Riemannian gradient ascent), cycled by a
-safeguarded alternating-optimization driver.
+Library + CLI simulator that jointly optimizes per-surface on/off switching
+(exact enumeration of the rate ratio over all subset sums of the per-surface
+amplitudes) and unit-modulus phase shifts with the transmit beamformer
+(Riemannian conjugate-gradient ascent, the beamformer re-matched in closed
+form at every trial point), cycled by a safeguarded alternating-optimization
+driver. The paper's beamformer solver, successive convex approximation, is
+kept public and certified against the closed form, off the production path.
 Every solver ships with an independent desk-scale oracle; for the on/off
 block that is a scan of the expanded quadratic form.
 """

@@ -158,18 +158,18 @@ def _stream(master_seed: int, trial: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial, tag]))
 
 
-def _run_scheme(scheme, cfg, master_seed, trial, beamformer):
+def _run_scheme(scheme, cfg, master_seed, trial):
     """Solve one scheme on freshly derived per-trial channels; returns
     (secrecy_rate, rounds)."""
     if scheme == "single-irs":
         cfg_single = consolidate_single_irs(cfg)
         ch = gen_channels(cfg_single, _stream(master_seed, trial, 0))
-        sol, trace = ao_solve(ch, cfg_single, beamformer=beamformer)
+        sol, trace = ao_solve(ch, cfg_single)
         return float(trace[-1]), len(trace) - 1
 
     ch = gen_channels(cfg, _stream(master_seed, trial, 0))
     if scheme == "ao-multi-irs":
-        sol, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        sol, trace = ao_solve(ch, cfg)
         return float(trace[-1]), len(trace) - 1
     if scheme == "mrt":
         sol = mrt_baseline(ch, cfg)
@@ -183,12 +183,12 @@ def _run_scheme(scheme, cfg, master_seed, trial, beamformer):
 
 def _sweep_task(args):
     """One (sweep point, trial) unit of work; top level so it pickles."""
-    cfg, schemes, sweep_name, sweep_value, trial, master_seed, beamformer, timing = args
+    cfg, schemes, sweep_name, sweep_value, trial, master_seed, timing = args
     records = []
     base_seed = _trial_base_seed(master_seed, trial)
     for scheme in schemes:
         start = time.perf_counter()
-        rate, rounds = _run_scheme(scheme, cfg, master_seed, trial, beamformer)
+        rate, rounds = _run_scheme(scheme, cfg, master_seed, trial)
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append(ExperimentRecord(
             trial=trial, scheme=scheme, sweep_name=sweep_name,
@@ -198,10 +198,10 @@ def _sweep_task(args):
 
 
 def _convergence_task(args):
-    cfg, trial, master_seed, beamformer, timing = args
+    cfg, trial, master_seed, timing = args
     ch = gen_channels(cfg, _stream(master_seed, trial, 0))
     start = time.perf_counter()
-    _, trace = ao_solve(ch, cfg, beamformer=beamformer)
+    _, trace = ao_solve(ch, cfg)
     elapsed = (time.perf_counter() - start) * 1000.0
     base_seed = _trial_base_seed(master_seed, trial)
     rounds = len(trace) - 1
@@ -214,16 +214,16 @@ def _convergence_task(args):
 
 def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
                    out_path: str | None = None, sweeps: dict | None = None,
-                   master_seed: int | None = None, beamformer: str = "sca",
-                   schemes=None, workers: int = 1, timing: bool = False):
+                   master_seed: int | None = None, schemes=None,
+                   workers: int = 1, timing: bool = False):
     """Run one experiment and optionally write the CSV; returns the records.
 
     Results are a pure function of (cfg, experiment, trials, sweeps,
-    master_seed, beamformer, schemes): identical inputs give byte-identical
-    CSVs at any worker count (with timing off). The convergence experiment
-    always traces the alternating optimizer; the baselines are one-shot and
-    have no trace to record. A sweep experiment rejects an empty grid and a
-    grid that repeats a value.
+    master_seed, schemes): identical inputs give byte-identical CSVs at any
+    worker count (with timing off). The convergence experiment always traces
+    the alternating optimizer; the baselines are one-shot and have no trace
+    to record. A sweep experiment rejects an empty grid and a grid that
+    repeats a value.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -241,7 +241,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
 
     if experiment == "convergence":
         task_fn = _convergence_task
-        tasks = [(cfg, t, master_seed, beamformer, timing) for t in range(trials)]
+        tasks = [(cfg, t, master_seed, timing) for t in range(trials)]
     else:
         key = "power_sweep_dbm" if experiment == "power_sweep" else "element_sweep"
         grid = [float(v) for v in sweeps[key]]
@@ -252,11 +252,11 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         task_fn = _sweep_task
         if experiment == "power_sweep":
             tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,
-                      "power_dbm", p, t, master_seed, beamformer, timing)
+                      "power_dbm", p, t, master_seed, timing)
                      for p in grid for t in range(trials)]
         else:
             tasks = [(replace(cfg, n_refl=int(m)), schemes,
-                      "n_refl", m, t, master_seed, beamformer, timing)
+                      "n_refl", m, t, master_seed, timing)
                      for m in grid for t in range(trials)]
 
     if workers > 1:
@@ -311,7 +311,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (defaults to the config seed)")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--beamformer", choices=("sca", "gevd"), default="sca")
     parser.add_argument("--scheme", default=None,
                         help="comma-separated subset of: " + ", ".join(SCHEMES))
     parser.add_argument("--workers", type=int, default=1)
@@ -328,8 +327,8 @@ def main(argv=None) -> int:
         schemes = args.scheme.split(",") if args.scheme else None
         records = run_experiment(
             cfg, args.experiment, args.trials, out_path=args.out,
-            sweeps=sweeps, master_seed=args.seed, beamformer=args.beamformer,
-            schemes=schemes, workers=args.workers, timing=args.timing)
+            sweeps=sweeps, master_seed=args.seed, schemes=schemes,
+            workers=args.workers, timing=args.timing)
     except Exception as exc:  # CLI boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -83,19 +83,6 @@ class TestAoSolve:
             assert trace[-1] == pytest.approx(secrecy_rate(ch, sol, cfg),
                                               abs=1e-12)
 
-    def test_gevd_beamformer_mode(self, rng):
-        cfg = desk_config(n_tx=4, n_refl=2, n_irs=2, noise_eve=0.8)
-        ch = random_channels(rng, cfg)
-        sol, trace = ao_solve(ch, cfg, beamformer="gevd")
-        assert np.all(np.diff(trace) >= -1e-12)
-        sol.validate(cfg)
-
-    def test_rejects_unknown_beamformer(self, rng):
-        cfg = desk_config()
-        ch = random_channels(rng, cfg)
-        with pytest.raises(ValueError):
-            ao_solve(ch, cfg, beamformer="zf")
-
     def test_block_idempotence_at_convergence(self):
         cfg = SystemConfig()
         ch = gen_channels(cfg, np.random.default_rng(99))
@@ -134,38 +121,35 @@ class TestJointRefine:
 
 
 class TestProperties:
-    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
-    def test_scale_invariance(self, rng, beamformer):
+    def test_scale_invariance(self, rng):
         # last-hop channels x k scale both effective channels by k; noise
         # x k^2 then leaves every SNR, and so every rate, unchanged
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=2, noise_eve=0.8)
         ch = random_channels(rng, cfg)
-        _, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        _, trace = ao_solve(ch, cfg)
         for k in (1e-60, 1e-30, 1e30, 1e60):
             ch_k = ChannelSet(g_ap_irs=ch.g_ap_irs, h_irs_user=k * ch.h_irs_user,
                               g_irs_eve=k * ch.g_irs_eve)
             cfg_k = replace(cfg, noise_user=cfg.noise_user * k * k,
                             noise_eve=cfg.noise_eve * k * k)
-            _, trace_k = ao_solve(ch_k, cfg_k, beamformer=beamformer)
+            _, trace_k = ao_solve(ch_k, cfg_k)
             assert abs(trace_k[-1] - trace[-1]) <= 1e-12
 
-    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
     @pytest.mark.parametrize("power_dbm", [-30.0, 0.0, 60.0, 90.0])
-    def test_extreme_powers(self, rng, beamformer, power_dbm):
+    def test_extreme_powers(self, rng, power_dbm):
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=2, noise_eve=0.8,
                           power=dbm_to_watt(power_dbm))
         ch = random_channels(rng, cfg)
-        sol, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        sol, trace = ao_solve(ch, cfg)
         sol.validate(cfg)
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= 0.0)
 
-    @pytest.mark.parametrize("beamformer", ["sca", "gevd"])
     @pytest.mark.parametrize("noise", [1e-100, 1e-300])
-    def test_tiny_noise(self, beamformer, noise):
-        # SNRs near 1e90 and beyond on the reference layout: the pencil of
-        # the beamformer block is far too ill-conditioned for a dense
-        # generalized eigensolver, the closed form still holds.
+    def test_tiny_noise(self, noise):
+        # SNRs near 1e90 and beyond on the reference layout: the beamformer's
+        # pencil is far too ill-conditioned for a dense generalized
+        # eigensolver, the closed form still holds.
         # Known limit: at noise <= 1e-100 W the float64 rounding of the
         # leakage b^H w sets the rate, so mathematically equal beamformers
         # differ by up to a few bits and gevd_oracle is not always the best
@@ -174,7 +158,7 @@ class TestProperties:
         cfg, _ = harness.load_config(None)
         cfg = replace(cfg, noise_user=noise, noise_eve=noise)
         ch = gen_channels(cfg, harness._stream(3, 0, 0))
-        sol, trace = ao_solve(ch, cfg, beamformer=beamformer)
+        sol, trace = ao_solve(ch, cfg)
         sol.validate(cfg)
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= 0.0)
