@@ -3,8 +3,8 @@
 Library + CLI simulator that jointly optimizes per-surface on/off switching
 (exact enumeration of the rate ratio over all subset sums of the per-surface
 amplitudes) and unit-modulus phase shifts with the transmit beamformer
-(Riemannian conjugate-gradient ascent, the beamformer re-matched in closed
-form at every trial point), cycled by a safeguarded alternating-optimization
+(Riemannian conjugate-gradient ascent on the envelope over the closed-form
+beamformer), cycled by a safeguarded alternating-optimization
 driver. The paper's beamformer solver, successive convex approximation, is
 kept public and certified against the closed form, off the production path.
 Every solver ships with an independent desk-scale oracle; for the on/off

@@ -242,6 +242,36 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig):
     return w, np.asarray(trace), converged
 
 
+def _top_root(norm2_a, norm2_b, norm2_perp, cfg: SystemConfig) -> float:
+    """Larger root of `gevd_oracle`'s quadratic from ||a||^2, ||b||^2 and
+    ||b_p||^2."""
+    p_budget = cfg.power_budget
+    g_a = p_budget * norm2_a / cfg.noise_user
+    g_b = p_budget * norm2_b / cfg.noise_eve
+    g_p = p_budget * norm2_perp / cfg.noise_eve
+    # lam^2 - (e + r) lam + (1 + g_a)/(1 + g_b), discriminant d^2 + r (2e + r).
+    e = (2.0 + g_a + g_b) / (1.0 + g_b)
+    d = (g_a - g_b) / (1.0 + g_b)
+    r = g_a * (g_p / (1.0 + g_b))
+    m = max(e, r)
+    return 0.5 * (e + r + m * math.sqrt((d / m) ** 2 + (r / m) * (2.0 * e / m + r / m)))
+
+
+def _pencil_rate(a: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
+    """The rate `gevd_oracle` reaches on (a, b), or on (conj a, conj b), from
+    their Gram alone. ||b||^2 - |b^H a|^2/||a||^2 cancels the digits of
+    ||b||^2/||b_p||^2: below 1e-2 ||b||^2, ||b_p||^2 comes from `_split`."""
+    norm2_a = float(np.vdot(a, a).real)
+    if norm2_a == 0.0:
+        return 0.0
+    norm2_b = float(np.vdot(b, b).real)
+    norm2_perp = norm2_b - abs(complex(np.vdot(b, a))) ** 2 / norm2_a
+    if norm2_perp < 1e-2 * norm2_b:
+        norm2_perp = _split(a, b)[4]
+    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
+    return math.log2(lam) if lam > 1.0 else 0.0
+
+
 def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     """Closed-form global optimum of the fixed-surface beamforming problem.
 
@@ -255,10 +285,10 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
         lam^2 (1 + g_b) - lam (2 + g_a + g_b + g_a g_p) + (1 + g_a) = 0,
 
     whose discriminant is (g_a - g_b)^2 + g_a g_p (2 (2 + g_a + g_b) + g_a g_p),
-    a sum of non-negative terms. The larger root is evaluated from that sum
-    after dividing through by 1 + g_b and scaling by its largest term, so no
-    intermediate overflows even at noise powers of 1e-300 W. The principal
-    eigenvector, divided through by lam P/s2e, is
+    a sum of non-negative terms. `_top_root` evaluates the larger root from
+    it over 1 + g_b, scaled by its largest term, so no intermediate
+    overflows even at noise powers of 1e-300 W. The principal eigenvector,
+    divided through by lam P/s2e, is
 
         u = ((1 - 1/lam) s2e/P + ||b_p||^2) a - (b^H a) b_p,
 
@@ -270,23 +300,13 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     """
     a = np.asarray(eff.eff_user, dtype=complex)
     b = np.asarray(eff.eff_eve, dtype=complex)
-    zero = np.zeros(len(a), dtype=complex)
     norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp = _split(a, b)
     if norm2_a == 0.0:
-        return zero, 0.0
-    p_budget = cfg.power_budget
-    g_a = p_budget * norm2_a / cfg.noise_user
-    g_b = p_budget * norm2_b / cfg.noise_eve
-    g_p = p_budget * norm2_perp / cfg.noise_eve
-    # Coefficients over 1 + g_b: lam^2 - (e + r) lam + (1 + g_a)/(1 + g_b),
-    # discriminant d^2 + r (2e + r).
-    e = (2.0 + g_a + g_b) / (1.0 + g_b)
-    d = (g_a - g_b) / (1.0 + g_b)
-    r = g_a * (g_p / (1.0 + g_b))
-    m = max(e, r)
-    lam = 0.5 * (e + r + m * math.sqrt((d / m) ** 2 + (r / m) * (2.0 * e / m + r / m)))
+        return np.zeros(len(a), dtype=complex), 0.0
+    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
     if lam <= 1.0:
-        return zero, 0.0
+        return np.zeros(len(a), dtype=complex), 0.0
+    p_budget = cfg.power_budget
     kappa = (1.0 - 1.0 / lam) * cfg.noise_eve / p_budget
     # Both coefficients scale as |channel|^2: divide by the larger one, so
     # that ||u|| neither overflows nor underflows.
@@ -302,5 +322,5 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
         w -= ((np.vdot(b, w) - scale * (kappa / top) * b_dot_a) / norm2_b) * b
     rate = _pair_gap(eff, w, cfg)
     if rate <= 0.0:
-        return zero, 0.0
+        return np.zeros(len(a), dtype=complex), 0.0
     return w, rate

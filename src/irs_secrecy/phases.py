@@ -12,9 +12,9 @@ zero gradient and their phases are held frozen.
 
 One ascent engine serves two value functions: `mo_ascend` ascends the
 objective above with the beamformer held fixed, and the joint refinement in
-`ao` (the AO round's phase block) ascends its envelope, re-matching the
-beamformer at every trial point. Both hand the engine the per-element
-amplitudes (c, d) at accepted points.
+`ao` (the AO round's phase block) ascends its envelope over the closed-form
+beamformer, which it builds at accepted points only. Both hand the engine
+the per-element amplitudes (c, d) at accepted points.
 """
 
 from dataclasses import dataclass
@@ -66,13 +66,14 @@ def _transport(theta, v):
 
 
 def _tangent_gradient(theta, c, d, cfg):
-    """Wirtinger gradient (1/ln 2) [u conj(c) / (s2 + |u|^2) -
-    e conj(d) / (s2e + |e|^2)] at theta, and its tangent part
+    """Wirtinger gradient g = conj(k_u c - k_e d), k_u = conj(u) / (ln 2
+    (s2 + |u|^2)) for u = theta . c and k_e likewise, and its tangent part
     g - Re(g conj(theta)) theta. Returns (euclidean, riemannian)."""
-    u = np.sum(theta * c)
-    e = np.sum(theta * d)
-    euclidean = (1.0 / LN2) * (u * np.conj(c) / (cfg.noise_user + abs(u) ** 2)
-                               - e * np.conj(d) / (cfg.noise_eve + abs(e) ** 2))
+    u = complex(theta @ c)
+    e = complex(theta @ d)
+    k_u = u.conjugate() / (LN2 * (cfg.noise_user + abs(u) ** 2))
+    k_e = e.conjugate() / (LN2 * (cfg.noise_eve + abs(e) ** 2))
+    euclidean = np.conj(k_u * c - k_e * d)
     return euclidean, _transport(theta, euclidean)
 
 

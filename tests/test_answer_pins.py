@@ -2,7 +2,8 @@
 
 Forty seeded instances in seven settings. Each pin holds the final secrecy
 rate (repr), the number of AO rounds, the final on/off pattern and the refine
-evaluations: calls of `ao.gevd_oracle` made while `ao._joint_refine` runs.
+evaluations: calls of the value function that `ao._joint_refine` hands to
+the ascent engine, one per trial point.
 A change that moves any answer by more than 1e-9 bits, or makes the refine
 spend more than 1.25x its pinned evaluations (a weaker conjugate-gradient
 direction rule, say), fails here.
@@ -56,28 +57,21 @@ def settings():
 
 
 def solve_counted(ch, cfg) -> dict:
-    """ao_solve's answer and the refine's closed-form evaluations."""
-    refine, oracle = ao._joint_refine, ao.gevd_oracle
-    inside, evals = False, 0
+    """ao_solve's answer and the refine's evaluations."""
+    ascent, evals = ao._riemannian_ascent, 0
 
-    def counted_refine(*args):
-        nonlocal inside
-        inside = True
-        try:
-            return refine(*args)
-        finally:
-            inside = False
+    def counted_ascent(theta, evaluate, *args, **kwargs):
+        def counted_evaluate(trial):
+            nonlocal evals
+            evals += 1
+            return evaluate(trial)
+        return ascent(theta, counted_evaluate, *args, **kwargs)
 
-    def counted_oracle(*args):
-        nonlocal evals
-        evals += inside
-        return oracle(*args)
-
-    ao._joint_refine, ao.gevd_oracle = counted_refine, counted_oracle
+    ao._riemannian_ascent = counted_ascent
     try:
         sol, trace = ao.ao_solve(ch, cfg)
     finally:
-        ao._joint_refine, ao.gevd_oracle = refine, oracle
+        ao._riemannian_ascent = ascent
     return {"rate": repr(float(trace[-1])), "rounds": len(trace) - 1,
             "onoff": sol.onoff.tolist(), "refine_evals": evals}
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from irs_secrecy.beamforming import LOG2E, gevd_oracle, sca_solve, sca_subproblem
+from irs_secrecy.beamforming import (LOG2E, _pencil_rate, gevd_oracle, sca_solve,
+                                     sca_subproblem)
 from irs_secrecy.model import EffectivePair
 
 from conftest import desk_config
@@ -344,6 +345,33 @@ class TestGevdOracle:
         print(f"\nclosed form vs scipy eigh: worst rate diff {worst_rate:.1e} "
               f"(relative to 1 + rate), worst 1 - |<w, w_ref>|/P {worst_dir:.1e} "
               f"over {compared} transmitting pairs")
+
+    def test_gram_rate_matches_closed_form(self):
+        """The joint refine values its trial points by `_pencil_rate` on
+        (conj a, conj b): the root from the Gram of the pair, which must be
+        the rate gevd_oracle's beamformer achieves. On the six classes of
+        the scipy comparison, and on pairs at 1e-4 to 1e-1 of parallel,
+        where ||b||^2 - |b^H a|^2/||a||^2 loses up to eight digits."""
+        rng = np.random.default_rng(505)
+        cases = [(kind, eff.eff_user, eff.eff_eve, cfg)
+                 for kind, eff, cfg in pencil_instances(rng)]
+        for _ in range(100):
+            n_tx = int(rng.choice([2, 4, 8, 16]))
+            cfg = desk_config(n_tx=n_tx, power=float(10.0 ** rng.uniform(-1, 4)))
+            a = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
+            noise = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
+            coupling = rng.standard_normal() + 1j * rng.standard_normal()
+            b = coupling * a + 10.0 ** rng.uniform(-4, -1) * noise
+            cases.append(("oblique", a, b, cfg))
+        worst = 0.0
+        for kind, a, b, cfg in cases:
+            _, rate = gevd_oracle(EffectivePair(eff_user=a, eff_eve=b), cfg)
+            for value in (_pencil_rate(a, b, cfg),
+                          _pencil_rate(np.conj(a), np.conj(b), cfg)):
+                err = abs(value - rate) / max(1.0, abs(rate))
+                worst = max(worst, err)
+                assert err <= 1e-12, (kind, value, rate)
+        print(f"\nGram rate vs closed form: worst relative diff {worst:.1e}")
 
     def test_solution_lives_in_span(self, rng):
         cfg = desk_config(n_tx=8)
