@@ -8,8 +8,9 @@ receiver (v_l to the user, u_l to the eavesdropper), and a selection x in
 
 dinkelbach_solve maximizes it exactly by enumerating all 2^L subset sums of
 the amplitudes, built by doubling, so each selection costs O(1) rather than
-O(L). The certification oracle takes an independent route: it expands both
-powers into binary quadratics,
+O(L); they are filled in place as real rows in blocks that stay under 1 MB.
+The certification oracle takes an independent route: it expands both powers
+into binary quadratics,
 
     |sum_l x_l v_l|^2 = sum_l C_l x_l + sum_{l>m} C_lm x_l x_m,
 
@@ -32,9 +33,10 @@ __all__ = [
     "brute_force_onoff",
 ]
 
-# Subset sums are combined in blocks of at most 2^BLOCK_BITS selections, which
-# bounds memory at the MAX_SURFACES cap.
-BLOCK_BITS = 15
+# Subset sums are combined in blocks of 2^BLOCK_BITS selections: four real
+# rows per buffer, filled in place, so a call touches under 1 MB for any
+# L <= MAX_SURFACES.
+BLOCK_BITS = 13
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,11 @@ class RatioCoefficients:
             raise ValueError("self-gains must be nonnegative")
         if np.any(np.triu(self.c_cross) != 0.0) or np.any(np.triu(self.d_cross) != 0.0):
             raise ValueError("cross matrices must be strictly lower triangular")
+        for name in ("v_user", "v_eve"):
+            v = getattr(self, name)
+            if v is not None and (np.shape(v) != (n,) or not np.isfinite(v).all()):
+                raise ValueError(f"{name} must hold L = {n} finite amplitudes")
+            object.__setattr__(self, name, v if v is None else np.asarray(v, complex))
 
     @property
     def n_irs(self) -> int:
@@ -96,20 +103,18 @@ def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
                              d_cross=d_cross, v_user=v_user, v_eve=v_eve)
 
 
-def _subset_sums(v_user, v_eve, surfaces, n):
-    """Sums of both amplitude vectors over every subset of `surfaces`, built
-    by doubling (bit k of the index = k-th listed surface), with each
+def _subset_sums(rows, surfaces, n):
+    """Sums of the real amplitude rows over every subset of `surfaces`, filled
+    in place by doubling (bit k of the index = k-th listed surface), with each
     subset's tie-break key: active count * 2^n + sum of 2^(n-1-l) over its
     surfaces l, so smaller keys have fewer active surfaces, then come first
     lexicographically."""
-    s_user = np.zeros(1, dtype=complex)
-    s_eve = np.zeros(1, dtype=complex)
-    key = np.zeros(1, dtype=np.int64)
-    for l in surfaces:
-        s_user = np.concatenate((s_user, s_user + v_user[l]))
-        s_eve = np.concatenate((s_eve, s_eve + v_eve[l]))
-        key = np.concatenate((key, key + ((1 << n) + (1 << (n - 1 - l)))))
-    return s_user, s_eve, key
+    sums = np.zeros((len(rows), 1 << len(surfaces)))
+    key = np.zeros(1 << len(surfaces), dtype=np.int64)
+    for k, l in enumerate(surfaces):
+        np.add(sums[:, :1 << k], rows[:, l:l + 1], out=sums[:, 1 << k:2 << k])
+        np.add(key[:1 << k], (1 << n) + (1 << (n - 1 - l)), out=key[1 << k:2 << k])
+    return sums, key
 
 
 def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
@@ -117,9 +122,10 @@ def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
     from the amplitudes coef.v_user and coef.v_eve.
 
     The low min(L, BLOCK_BITS) surfaces and the remaining high surfaces are
-    enumerated separately; each block adds one high subset sum to all low
-    ones. Exact ties break like brute_force_onoff: fewest active surfaces,
-    then lexicographically. Returns (x, ratio); refuses L > MAX_SURFACES.
+    enumerated separately, as four real rows (Re, Im of each receiver's sum);
+    each block adds one high subset sum to all low ones in one reused buffer.
+    Exact ties break like brute_force_onoff: fewest active surfaces, then
+    lexicographically. Returns (x, ratio); refuses L > MAX_SURFACES.
     The name is the key under which bench/ traces the on/off layer; no
     Dinkelbach parameter iteration is needed once the ratio is enumerated.
     """
@@ -129,15 +135,18 @@ def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
     if n > MAX_SURFACES:
         raise ValueError(f"exact selection limited to L <= {MAX_SURFACES}")
     n_lo = min(n, BLOCK_BITS)
-    lo_user, lo_eve, lo_key = _subset_sums(coef.v_user, coef.v_eve, range(n_lo), n)
-    hi_user, hi_eve, hi_key = _subset_sums(coef.v_user, coef.v_eve, range(n_lo, n), n)
+    rows = np.array([coef.v_user.real, coef.v_user.imag, coef.v_eve.real, coef.v_eve.imag])
+    lo, lo_key = _subset_sums(rows, range(n_lo), n)
+    hi, hi_key = _subset_sums(rows, range(n_lo, n), n)
+    noise = np.array([[cfg.noise_user], [cfg.noise_eve]])
+    s = np.empty_like(lo)
+    power, ratio = s[0::2], s[1]     # both receivers' 1 + |sum|^2/noise, then N/D
     best_ratio, best_key, best_code = -np.inf, 0, 0
     for j in range(len(hi_key)):
-        s_user = lo_user + hi_user[j]
-        s_eve = lo_eve + hi_eve[j]
-        num = 1.0 + (s_user.real ** 2 + s_user.imag ** 2) / cfg.noise_user
-        den = 1.0 + (s_eve.real ** 2 + s_eve.imag ** 2) / cfg.noise_eve
-        ratio = num / den
+        np.square(np.add(lo, hi[:, j:j + 1], out=s), out=s)
+        np.add(power, s[1::2], out=power)
+        np.add(np.divide(power, noise, out=power), 1.0, out=power)
+        np.divide(power[0], power[1], out=ratio)
         top = ratio.max()
         if top < best_ratio:
             continue

@@ -90,6 +90,16 @@ class TestRatioCoefficients:
             RatioCoefficients(c_lin=[1.0, 1.0], c_cross=np.ones((2, 2)),
                               d_lin=[1.0, 1.0], d_cross=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("changes, match", [
+        ({"v_user": np.ones(5)}, "v_user"),           # was silently truncated
+        ({"v_eve": np.ones(2)}, "v_eve"),             # was a bare IndexError
+        ({"v_eve": [0.5, np.nan, 0.5]}, "finite"),    # was an empty argmin
+    ])
+    def test_rejects_malformed_amplitudes(self, changes, match):
+        coef = coefficients_from_amplitudes([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=match):
+            replace(coef, **changes)
+
 
 class TestDinkelbachSolve:
     def test_single_surface_cases(self):
@@ -133,7 +143,7 @@ class TestDinkelbachSolve:
             assert abs(g_of_lambda(coef, cfg, ratio)) <= 1e-9 * max(1.0, scale)
 
     def test_matches_brute_force_sixteen_surfaces(self, rng):
-        # more than BLOCK_BITS surfaces: selections span two blocks
+        # more than BLOCK_BITS surfaces: selections span eight blocks
         for _ in range(3):
             coef, _, _ = random_coefficients(rng, 16)
             cfg = desk_config(n_irs=16,
@@ -155,6 +165,46 @@ class TestDinkelbachSolve:
             assert np.array_equal(x, expected)
             assert np.array_equal(x_ref, expected)
             assert ratio == ratio_ref == 2.0
+
+    @pytest.mark.parametrize("n_irs", [13, 14, 17])
+    def test_matches_brute_force_at_block_boundary(self, n_irs):
+        # one block, two blocks, and 16 blocks of 2^BLOCK_BITS low subsets
+        rng = np.random.default_rng(1300 + n_irs)
+        for _ in range(2):
+            coef, _, _ = random_coefficients(rng, n_irs)
+            cfg = desk_config(n_irs=n_irs,
+                              noise_user=float(10.0 ** rng.uniform(-1, 1)),
+                              noise_eve=float(10.0 ** rng.uniform(-1, 1)))
+            x_ref, ratio_ref = brute_force_onoff(coef, cfg)
+            x, ratio = dinkelbach_solve(coef, cfg)
+            assert np.array_equal(x, x_ref)
+            assert ratio == pytest.approx(ratio_ref, rel=1e-12)
+
+    def test_all_zero_amplitudes_tie_everywhere(self):
+        # every selection ties, in every block: all off, ratio exactly 1
+        cfg = desk_config(n_irs=20)
+        coef = coefficients_from_amplitudes(np.zeros(20), np.zeros(20))
+        x, ratio = dinkelbach_solve(coef, cfg)
+        assert np.array_equal(x, np.zeros(20))
+        assert ratio == 1.0
+
+    @pytest.mark.parametrize("amplitudes, expected", [
+        ({12: 1.0, 13: -1.0}, [13]),             # equal counts: lexicographic
+        ({12: -1.0, 13: 0.5, 14: 0.5}, [12]),    # fewer active surfaces wins
+    ])
+    def test_ties_at_block_boundary(self, amplitudes, expected):
+        # surface 12 is the last low surface, 13 and 14 are high ones
+        n = 15
+        cfg = desk_config(n_irs=n)
+        v_user = np.zeros(n, dtype=complex)
+        for l, amp in amplitudes.items():
+            v_user[l] = amp
+        coef = coefficients_from_amplitudes(v_user, np.zeros(n))
+        x, ratio = dinkelbach_solve(coef, cfg)
+        x_ref, ratio_ref = brute_force_onoff(coef, cfg)
+        assert np.flatnonzero(x).tolist() == expected
+        assert np.array_equal(x, x_ref)
+        assert ratio == ratio_ref == 2.0
 
     def test_ties_across_blocks(self):
         # equal single-surface ratios on either side of the block boundary
