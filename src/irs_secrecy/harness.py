@@ -159,26 +159,18 @@ def _stream(master_seed: int, trial: int, tag: int) -> np.random.Generator:
 
 
 def _run_scheme(scheme, cfg, master_seed, trial):
-    """Solve one scheme on freshly derived per-trial channels; returns
-    (secrecy_rate, rounds)."""
+    """Solve one scheme of SCHEMES (run_experiment rejects the rest) on
+    freshly derived per-trial channels; returns (secrecy_rate, rounds)."""
     if scheme == "single-irs":
-        cfg_single = consolidate_single_irs(cfg)
-        ch = gen_channels(cfg_single, _stream(master_seed, trial, 0))
-        sol, trace = ao_solve(ch, cfg_single)
-        return float(trace[-1]), len(trace) - 1
-
+        cfg = consolidate_single_irs(cfg)
     ch = gen_channels(cfg, _stream(master_seed, trial, 0))
-    if scheme == "ao-multi-irs":
-        sol, trace = ao_solve(ch, cfg)
-        return float(trace[-1]), len(trace) - 1
     if scheme == "mrt":
-        sol = mrt_baseline(ch, cfg)
-        return secrecy_rate(ch, sol, cfg), 0
+        return secrecy_rate(ch, mrt_baseline(ch, cfg), cfg), 0
     if scheme == "random-bf":
         rng = _stream(master_seed, trial, 100 + _SCHEME_IDS[scheme])
-        sol = random_baseline(ch, cfg, rng)
-        return secrecy_rate(ch, sol, cfg), 0
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return secrecy_rate(ch, random_baseline(ch, cfg, rng), cfg), 0
+    _, trace = ao_solve(ch, cfg)      # ao-multi-irs and single-irs
+    return float(trace[-1]), len(trace) - 1
 
 
 def _sweep_task(args):

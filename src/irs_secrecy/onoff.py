@@ -9,13 +9,13 @@ receiver (v_l to the user, u_l to the eavesdropper), and a selection x in
 dinkelbach_solve maximizes it exactly by enumerating all 2^L subset sums of
 the amplitudes, built by doubling, so each selection costs O(1) rather than
 O(L); they are filled in place as real rows in blocks that stay under 1 MB.
-The certification oracle takes an independent route: it expands both powers
-into binary quadratics,
+The certification oracle takes an independent route: quadratic_expansion
+expands both powers into binary quadratics,
 
     |sum_l x_l v_l|^2 = sum_l C_l x_l + sum_{l>m} C_lm x_l x_m,
 
-with C_l = |v_l|^2 and C_lm = 2 Re(v_l v_m*), and scans every selection of
-that quadratic form.
+with C_l = |v_l|^2 and C_lm = 2 Re(v_l v_m*), and brute_force_onoff scans
+every selection of that quadratic form.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ from .model import MAX_SURFACES, ChannelSet, SolutionState, SystemConfig
 __all__ = [
     "RatioCoefficients",
     "ratio_coefficients",
+    "quadratic_expansion",
     "quadratic_value",
     "ratio_value",
     "dinkelbach_solve",
@@ -41,66 +42,42 @@ BLOCK_BITS = 13
 
 @dataclass(frozen=True)
 class RatioCoefficients:
-    """Expansion coefficients of the two signal-power quadratics.
-
-    c_lin[l] and d_lin[l] are the nonnegative self-gains; c_cross[l, m] and
-    d_cross[l, m] (strictly lower triangular, m < l) carry 2 Re of the complex
-    cross products so the binary expansion is exact. v_user and v_eve are the
-    per-surface complex amplitudes the expansion was built from, which
-    dinkelbach_solve enumerates; instances that only feed the quadratic-form
-    oracle may leave them out.
+    """Per-surface complex amplitudes of a fixed (w, theta): v_user[l] = v_l
+    to the user and v_eve[l] = u_l to the eavesdropper, both of shape (L,)
+    and finite. dinkelbach_solve enumerates their subset sums; the oracle
+    expands them with quadratic_expansion.
     """
 
-    c_lin: np.ndarray
-    c_cross: np.ndarray
-    d_lin: np.ndarray
-    d_cross: np.ndarray
-    v_user: np.ndarray | None = None
-    v_eve: np.ndarray | None = None
+    v_user: np.ndarray
+    v_eve: np.ndarray
 
     def __post_init__(self):
-        for name in ("c_lin", "c_cross", "d_lin", "d_cross"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = len(self.c_lin)
-        if self.c_cross.shape != (n, n) or self.d_cross.shape != (n, n):
-            raise ValueError("cross matrices must be (L, L)")
-        if np.any(self.c_lin < 0.0) or np.any(self.d_lin < 0.0):
-            raise ValueError("self-gains must be nonnegative")
-        if np.any(np.triu(self.c_cross) != 0.0) or np.any(np.triu(self.d_cross) != 0.0):
-            raise ValueError("cross matrices must be strictly lower triangular")
+        shapes = np.shape(self.v_user), np.shape(self.v_eve)
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+            raise ValueError("v_user and v_eve must have the same shape (L,), "
+                             f"got {shapes[0]} and {shapes[1]}")
         for name in ("v_user", "v_eve"):
-            v = getattr(self, name)
-            if v is not None and (np.shape(v) != (n,) or not np.isfinite(v).all()):
-                raise ValueError(f"{name} must hold L = {n} finite amplitudes")
-            object.__setattr__(self, name, v if v is None else np.asarray(v, complex))
+            v = np.asarray(getattr(self, name), dtype=complex)
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must hold finite amplitudes")
+            object.__setattr__(self, name, v)
 
     @property
     def n_irs(self) -> int:
-        return len(self.c_lin)
+        return len(self.v_user)
 
 
 def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
     """Per-surface amplitudes of the current (w, theta),
-    v_user[l] = h_l^H diag(theta_l) G_l w and likewise for the eavesdropper,
-    with the expansion of both signal-power quadratics.
+    v_user[l] = h_l^H diag(theta_l) G_l w and likewise for the eavesdropper.
 
     The on/off entries of sol are ignored; selection happens through x.
     """
     def per_surface(rows):
         return (sol.phases * (rows @ sol.beamformer)).reshape(-1, ch.n_refl).sum(axis=1)
 
-    v_user = per_surface(ch.cascade_user)
-    v_eve = per_surface(ch.cascade_eve)
-
-    def expand(v):
-        lin = np.abs(v) ** 2
-        cross = 2.0 * np.real(np.outer(v, np.conj(v)))
-        return lin, np.tril(cross, k=-1)
-
-    c_lin, c_cross = expand(v_user)
-    d_lin, d_cross = expand(v_eve)
-    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross, d_lin=d_lin,
-                             d_cross=d_cross, v_user=v_user, v_eve=v_eve)
+    return RatioCoefficients(v_user=per_surface(ch.cascade_user),
+                             v_eve=per_surface(ch.cascade_eve))
 
 
 def _subset_sums(rows, surfaces, n):
@@ -129,8 +106,6 @@ def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
     The name is the key under which bench/ traces the on/off layer; no
     Dinkelbach parameter iteration is needed once the ratio is enumerated.
     """
-    if coef.v_user is None or coef.v_eve is None:
-        raise ValueError("selection needs the per-surface amplitudes")
     n = coef.n_irs
     if n > MAX_SURFACES:
         raise ValueError(f"exact selection limited to L <= {MAX_SURFACES}")
@@ -159,6 +134,13 @@ def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
     return (best_code >> np.arange(n)) & 1, best_ratio
 
 
+def quadratic_expansion(v: np.ndarray):
+    """(lin, cross) with |sum_l x_l v_l|^2 = lin @ x + x @ cross @ x for
+    binary x: lin = |v|^2, cross = tril(2 Re(v v^H), -1)."""
+    v = np.asarray(v, dtype=complex)
+    return np.abs(v) ** 2, np.tril(2.0 * np.real(np.outer(v, np.conj(v))), k=-1)
+
+
 def quadratic_value(lin: np.ndarray, cross: np.ndarray, x: np.ndarray) -> float:
     """sum_l lin_l x_l + sum_{l>m} cross_lm x_l x_m for binary x."""
     xf = np.asarray(x, dtype=float)
@@ -167,8 +149,8 @@ def quadratic_value(lin: np.ndarray, cross: np.ndarray, x: np.ndarray) -> float:
 
 def ratio_value(coef: RatioCoefficients, x: np.ndarray, cfg: SystemConfig) -> float:
     """Exact ratio N(x)/D(x) at a binary selection."""
-    num = 1.0 + quadratic_value(coef.c_lin, coef.c_cross, x) / cfg.noise_user
-    den = 1.0 + quadratic_value(coef.d_lin, coef.d_cross, x) / cfg.noise_eve
+    num = 1.0 + quadratic_value(*quadratic_expansion(coef.v_user), x) / cfg.noise_user
+    den = 1.0 + quadratic_value(*quadratic_expansion(coef.v_eve), x) / cfg.noise_eve
     return num / den
 
 
@@ -195,12 +177,12 @@ def brute_force_onoff(coef: RatioCoefficients, cfg: SystemConfig):
     Ties break toward fewer active surfaces, then lexicographically.
     Certification oracle; refuses L > MAX_SURFACES.
     """
-    n = coef.n_irs
+    user, eve = quadratic_expansion(coef.v_user), quadratic_expansion(coef.v_eve)
     best_ratio = -np.inf
     winners = []
-    for grid in _binary_grid(n, block=1 << BLOCK_BITS):
-        num = 1.0 + _quad_batch(coef.c_lin, coef.c_cross, grid) / cfg.noise_user
-        den = 1.0 + _quad_batch(coef.d_lin, coef.d_cross, grid) / cfg.noise_eve
+    for grid in _binary_grid(coef.n_irs, block=1 << BLOCK_BITS):
+        num = 1.0 + _quad_batch(*user, grid) / cfg.noise_user
+        den = 1.0 + _quad_batch(*eve, grid) / cfg.noise_eve
         ratios = num / den
         block_best = float(np.max(ratios))
         if block_best > best_ratio:

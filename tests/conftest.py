@@ -40,27 +40,13 @@ def random_solution(rng, cfg, all_on=True) -> SolutionState:
     return SolutionState(beamformer=w, phases=np.exp(1j * angles), onoff=x)
 
 
-def coefficients_from_amplitudes(v_user, v_eve) -> RatioCoefficients:
-    """Expansion coefficients for given per-surface complex amplitudes,
-    which the result also carries."""
-    def expand(z):
-        lin = np.abs(z) ** 2
-        cross = 2.0 * np.real(np.outer(z, np.conj(z)))
-        return lin, np.tril(cross, k=-1)
-
-    c_lin, c_cross = expand(np.asarray(v_user))
-    d_lin, d_cross = expand(np.asarray(v_eve))
-    return RatioCoefficients(c_lin=c_lin, c_cross=c_cross, d_lin=d_lin,
-                             d_cross=d_cross, v_user=v_user, v_eve=v_eve)
-
-
 def random_coefficients(rng, n_irs, spread=1.0):
     """Random coefficient instance plus the generating amplitudes."""
     sv = 10.0 ** rng.uniform(-spread, spread, size=n_irs)
     su = 10.0 ** rng.uniform(-spread, spread, size=n_irs)
     v = sv * (rng.standard_normal(n_irs) + 1j * rng.standard_normal(n_irs))
     u = su * (rng.standard_normal(n_irs) + 1j * rng.standard_normal(n_irs))
-    return coefficients_from_amplitudes(v, u), v, u
+    return RatioCoefficients(v_user=v, v_eve=u), v, u
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.harness import run_experiment
 from irs_secrecy.model import EffectivePair, SolutionState, SystemConfig
 from irs_secrecy.onoff import (brute_force_onoff, dinkelbach_solve,
-                               quadratic_value, ratio_coefficients)
+                               quadratic_expansion, quadratic_value,
+                               ratio_coefficients)
 from irs_secrecy.phases import (mo_ascend, phase_grid_oracle,
                                 phase_objective_gradient)
 
@@ -227,10 +228,11 @@ def test_criterion_8_coefficient_reconstruction():
         amps_eve = np.array([
             np.conj(ch.g_irs_eve[l]) * theta[l] @ (ch.g_ap_irs[l] @ sol.beamformer)
             for l in range(n_irs)])
+        expansions = ((amps_user, quadratic_expansion(coef.v_user)),
+                      (amps_eve, quadratic_expansion(coef.v_eve)))
         for bits in itertools.product((0, 1), repeat=n_irs):
             x = np.array(bits, dtype=float)
-            for amps, lin, cross in ((amps_user, coef.c_lin, coef.c_cross),
-                                     (amps_eve, coef.d_lin, coef.d_cross)):
+            for amps, (lin, cross) in expansions:
                 direct = abs(np.sum(x * amps)) ** 2
                 rebuilt = quadratic_value(lin, cross, x)
                 scale = max(direct, 1e-30)

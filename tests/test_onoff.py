@@ -8,11 +8,11 @@ import irs_secrecy.model as model
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import SystemConfig
 from irs_secrecy.onoff import (RatioCoefficients, brute_force_onoff,
-                               dinkelbach_solve, quadratic_value,
-                               ratio_coefficients, ratio_value)
+                               dinkelbach_solve, quadratic_expansion,
+                               quadratic_value, ratio_coefficients, ratio_value)
 
-from conftest import (coefficients_from_amplitudes, desk_config,
-                      random_channels, random_coefficients, random_solution)
+from conftest import (desk_config, random_channels, random_coefficients,
+                      random_solution)
 
 
 def enumerate_ratio(coef, cfg):
@@ -28,11 +28,12 @@ def enumerate_ratio(coef, cfg):
 
 def g_of_lambda(coef, cfg, lam):
     """Test-side oracle for G(lam) = max_x N(x) - lam * D(x)."""
+    user, eve = quadratic_expansion(coef.v_user), quadratic_expansion(coef.v_eve)
     best = -np.inf
     for bits in itertools.product((0, 1), repeat=coef.n_irs):
         x = np.array(bits, dtype=int)
-        num = 1.0 + quadratic_value(coef.c_lin, coef.c_cross, x) / cfg.noise_user
-        den = 1.0 + quadratic_value(coef.d_lin, coef.d_cross, x) / cfg.noise_eve
+        num = 1.0 + quadratic_value(*user, x) / cfg.noise_user
+        den = 1.0 + quadratic_value(*eve, x) / cfg.noise_eve
         best = max(best, num - lam * den)
     return best
 
@@ -45,18 +46,20 @@ class TestRatioCoefficients:
         coef = ratio_coefficients(ch, sol)
         theta = sol.phase_blocks(cfg.n_refl)[0]
         v = np.conj(ch.h_irs_user[0]) * theta @ (ch.g_ap_irs[0] @ sol.beamformer)
-        assert coef.c_lin[0] == pytest.approx(abs(v) ** 2, rel=1e-12)
-        assert coef.c_cross.shape == (1, 1)
-        assert np.all(coef.c_cross == 0.0)
+        lin, cross = quadratic_expansion(coef.v_user)
+        assert lin[0] == pytest.approx(abs(v) ** 2, rel=1e-12)
+        assert cross.shape == (1, 1)
+        assert np.all(cross == 0.0)
 
     def test_equal_real_amplitudes(self):
-        # every per-surface amplitude u: C_l = u^2, C_lm = 2 u^2
+        # every per-surface amplitude u: C_l = u^2, C_lm = 2 u^2 for m < l
         u = 0.7
-        coef = coefficients_from_amplitudes([u, u, u], [0.0, 0.0, 0.0])
-        assert np.allclose(coef.c_lin, u ** 2)
+        lin, cross = quadratic_expansion([u, u, u])
+        assert np.allclose(lin, u ** 2)
+        assert np.all(np.triu(cross) == 0.0)
         for l in range(3):
             for m in range(l):
-                assert coef.c_cross[l, m] == pytest.approx(2 * u ** 2)
+                assert cross[l, m] == pytest.approx(2 * u ** 2)
 
     def test_reconstructs_quadratic_for_all_selections(self, rng):
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=3)
@@ -70,33 +73,32 @@ class TestRatioCoefficients:
         amps_eve = np.array([
             np.conj(ch.g_irs_eve[l]) * theta[l] @ (ch.g_ap_irs[l] @ sol.beamformer)
             for l in range(3)])
+        assert coef.v_user == pytest.approx(amps_user, rel=1e-12)
+        assert coef.v_eve == pytest.approx(amps_eve, rel=1e-12)
+        user, eve = quadratic_expansion(coef.v_user), quadratic_expansion(coef.v_eve)
         for bits in itertools.product((0, 1), repeat=3):
             x = np.array(bits, dtype=float)
             direct_user = abs(np.sum(x * amps_user)) ** 2
             direct_eve = abs(np.sum(x * amps_eve)) ** 2
-            rebuilt_user = quadratic_value(coef.c_lin, coef.c_cross, x)
-            rebuilt_eve = quadratic_value(coef.d_lin, coef.d_cross, x)
+            rebuilt_user = quadratic_value(*user, x)
+            rebuilt_eve = quadratic_value(*eve, x)
             assert rebuilt_user == pytest.approx(direct_user, rel=1e-10, abs=1e-12)
             assert rebuilt_eve == pytest.approx(direct_eve, rel=1e-10, abs=1e-12)
 
     def test_self_gains_nonnegative(self, rng):
         for _ in range(5):
             coef, _, _ = random_coefficients(rng, 4)
-            assert np.all(coef.c_lin >= 0.0)
-            assert np.all(coef.d_lin >= 0.0)
-
-    def test_rejects_upper_triangle(self):
-        with pytest.raises(ValueError):
-            RatioCoefficients(c_lin=[1.0, 1.0], c_cross=np.ones((2, 2)),
-                              d_lin=[1.0, 1.0], d_cross=np.zeros((2, 2)))
+            assert np.all(quadratic_expansion(coef.v_user)[0] >= 0.0)
+            assert np.all(quadratic_expansion(coef.v_eve)[0] >= 0.0)
 
     @pytest.mark.parametrize("changes, match", [
         ({"v_user": np.ones(5)}, "v_user"),           # was silently truncated
         ({"v_eve": np.ones(2)}, "v_eve"),             # was a bare IndexError
         ({"v_eve": [0.5, np.nan, 0.5]}, "finite"),    # was an empty argmin
+        ({"v_user": None}, "v_user"),                 # no amplitudes to select
     ])
     def test_rejects_malformed_amplitudes(self, changes, match):
-        coef = coefficients_from_amplitudes([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+        coef = RatioCoefficients(v_user=[1.0, 2.0, 3.0], v_eve=[0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match=match):
             replace(coef, **changes)
 
@@ -104,18 +106,18 @@ class TestRatioCoefficients:
 class TestDinkelbachSolve:
     def test_single_surface_cases(self):
         cfg = desk_config(n_irs=1, noise_user=1.0, noise_eve=1.0)
-        helpful = coefficients_from_amplitudes([2.0], [1.0])
+        helpful = RatioCoefficients(v_user=[2.0], v_eve=[1.0])
         x, ratio = dinkelbach_solve(helpful, cfg)
         assert np.array_equal(x, [1])
         assert ratio == pytest.approx(5.0 / 2.0, rel=1e-12)
-        harmful = coefficients_from_amplitudes([1.0], [2.0])
+        harmful = RatioCoefficients(v_user=[1.0], v_eve=[2.0])
         x, ratio = dinkelbach_solve(harmful, cfg)
         assert np.array_equal(x, [0])
         assert ratio == pytest.approx(1.0)
 
     def test_degenerate_all_zero(self):
         cfg = desk_config(n_irs=3)
-        coef = coefficients_from_amplitudes([0.0] * 3, [0.0] * 3)
+        coef = RatioCoefficients(v_user=[0.0] * 3, v_eve=[0.0] * 3)
         x, ratio = dinkelbach_solve(coef, cfg)
         assert np.array_equal(x, [0, 0, 0])
         assert ratio == pytest.approx(1.0)
@@ -159,7 +161,7 @@ class TestDinkelbachSolve:
         # surface 1 adds nothing: fewer active surfaces wins
         # opposite amplitudes: equal counts, lexicographically first wins
         for v_user, expected in (([1.0, 0.0], [1, 0]), ([1.0, -1.0], [0, 1])):
-            coef = coefficients_from_amplitudes(v_user, [0.0, 0.0])
+            coef = RatioCoefficients(v_user=v_user, v_eve=[0.0, 0.0])
             x, ratio = dinkelbach_solve(coef, cfg)
             x_ref, ratio_ref = brute_force_onoff(coef, cfg)
             assert np.array_equal(x, expected)
@@ -183,7 +185,7 @@ class TestDinkelbachSolve:
     def test_all_zero_amplitudes_tie_everywhere(self):
         # every selection ties, in every block: all off, ratio exactly 1
         cfg = desk_config(n_irs=20)
-        coef = coefficients_from_amplitudes(np.zeros(20), np.zeros(20))
+        coef = RatioCoefficients(v_user=np.zeros(20), v_eve=np.zeros(20))
         x, ratio = dinkelbach_solve(coef, cfg)
         assert np.array_equal(x, np.zeros(20))
         assert ratio == 1.0
@@ -199,7 +201,7 @@ class TestDinkelbachSolve:
         v_user = np.zeros(n, dtype=complex)
         for l, amp in amplitudes.items():
             v_user[l] = amp
-        coef = coefficients_from_amplitudes(v_user, np.zeros(n))
+        coef = RatioCoefficients(v_user=v_user, v_eve=np.zeros(n))
         x, ratio = dinkelbach_solve(coef, cfg)
         x_ref, ratio_ref = brute_force_onoff(coef, cfg)
         assert np.flatnonzero(x).tolist() == expected
@@ -212,22 +214,16 @@ class TestDinkelbachSolve:
         cfg = desk_config(n_irs=n)
         v_user = np.zeros(n, dtype=complex)
         v_user[0], v_user[18] = 1.0, -1.0
-        coef = coefficients_from_amplitudes(v_user, np.zeros(n))
+        coef = RatioCoefficients(v_user=v_user, v_eve=np.zeros(n))
         x, ratio = dinkelbach_solve(coef, cfg)
         assert np.flatnonzero(x).tolist() == [18]
         assert ratio == 2.0
 
     def test_rejects_more_than_max_surfaces(self):
         cfg = desk_config(n_irs=1)
-        coef = coefficients_from_amplitudes(np.ones(25), np.ones(25))
+        coef = RatioCoefficients(v_user=np.ones(25), v_eve=np.ones(25))
         with pytest.raises(ValueError):
             dinkelbach_solve(coef, cfg)
-
-    def test_rejects_coefficients_without_amplitudes(self):
-        cfg = desk_config(n_irs=2)
-        coef = coefficients_from_amplitudes([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ValueError, match="amplitudes"):
-            dinkelbach_solve(replace(coef, v_user=None, v_eve=None), cfg)
 
     def test_ratio_matches_raw_channels(self, rng):
         # the returned ratio equals the rate ratio evaluated from the raw
@@ -262,21 +258,20 @@ class TestBruteForce:
 
     def test_all_zero_ties_to_fewest_active(self):
         cfg = desk_config(n_irs=3)
-        coef = coefficients_from_amplitudes([0.0] * 3, [0.0] * 3)
+        coef = RatioCoefficients(v_user=[0.0] * 3, v_eve=[0.0] * 3)
         x, ratio = brute_force_onoff(coef, cfg)
         assert np.array_equal(x, [0, 0, 0])
         assert ratio == pytest.approx(1.0)
 
     def test_dominant_surface(self):
         cfg = desk_config(n_irs=3, noise_user=1.0, noise_eve=1.0)
-        coef = coefficients_from_amplitudes([100.0, 0.1j, -0.1], [0.0, 3.0, 3.0])
+        coef = RatioCoefficients(v_user=[100.0, 0.1j, -0.1], v_eve=[0.0, 3.0, 3.0])
         x, _ = brute_force_onoff(coef, cfg)
         assert x[0] == 1  # the clean high-gain surface is always on
 
     def test_rejects_large_instances(self):
         cfg = desk_config(n_irs=1)
         n = 25
-        coef = RatioCoefficients(c_lin=np.ones(n), c_cross=np.zeros((n, n)),
-                                 d_lin=np.ones(n), d_cross=np.zeros((n, n)))
+        coef = RatioCoefficients(v_user=np.ones(n), v_eve=np.ones(n))
         with pytest.raises(ValueError):
             brute_force_onoff(coef, cfg)
