@@ -17,12 +17,11 @@ from .channel_gen import (PathParams, gen_channels, linear_path_gain,
                           pathloss_db, steering_vector)
 from .harness import (ExperimentRecord, consolidate_single_irs, load_config,
                       mrt_baseline, random_baseline, run_experiment)
-from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
-                    achievable_rate, dbm_to_watt, effective_channels, gain_gap,
-                    rate_gap, secrecy_rate)
+from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
+                    effective_channels, gain_gap, rate_gap, secrecy_rate)
 from .onoff import (RatioCoefficients, brute_force_onoff, dinkelbach_solve,
                     ratio_coefficients, ratio_value)
-from .phases import (PhaseGradient, mo_ascend, phase_grid_oracle,
-                     phase_objective, phase_objective_gradient)
+from .phases import (mo_ascend, phase_grid_oracle, phase_objective,
+                     phase_objective_gradient)
 
 __version__ = "0.1.0"

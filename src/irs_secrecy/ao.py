@@ -31,12 +31,15 @@ import numpy as np
 # them here, and bench/test_bench.py::test_missing_function_is_reported_absent
 # deletes ao.mo_ascend and expects no other name to be missing.
 from .beamforming import _pencil_rate, gevd_oracle, sca_solve  # noqa: F401
-from .model import (ChannelSet, EffectivePair, SolutionState, SystemConfig,
-                    effective_channels, rate_gap)
+from .model import (ChannelSet, SolutionState, SystemConfig, effective_channels,
+                    rate_gap)
 from .onoff import dinkelbach_solve, ratio_coefficients
 from .phases import _riemannian_ascent, mo_ascend  # noqa: F401
 
 __all__ = ["matched_filter", "user_aligned_state", "ao_solve"]
+
+MAX_ROUNDS = 30
+ROUND_TOL = 1e-5
 
 
 def matched_filter(ch: ChannelSet, cfg: SystemConfig,
@@ -92,8 +95,7 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
 
     def amplitudes(conj_ab):
         ab = np.conj(conj_ab)
-        built[:] = conj_ab, gevd_oracle(
-            EffectivePair(eff_user=ab[:n_tx], eff_eve=ab[n_tx:]), cfg)[0]
+        built[:] = conj_ab, gevd_oracle(ab[:n_tx], ab[n_tx:], cfg)[0]
         cd = stack @ built[1]
         return cd[:n_act], cd[n_act:]
 
@@ -105,16 +107,15 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
     return phases, built[1], trace
 
 
-def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
-             tol: float = 1e-5):
+def ao_solve(ch: ChannelSet, cfg: SystemConfig):
     """Cycle the block solvers until the secrecy rate stabilizes.
 
     The warm start's beamformer is first re-matched in closed form to its
     phases; each round then runs the on/off block and the joint refinement.
-    Stops when a full round improves the rate by less than tol or after
-    max_rounds, returning (solution, trace) with trace[k] the clamped secrecy
-    rate after round k (entry 0 is the warm start). The best-so-far solution
-    is returned on budget exhaustion.
+    Stops when a full round improves the rate by less than ROUND_TOL bits or
+    after MAX_ROUNDS rounds, returning (solution, trace) with trace[k] the
+    clamped secrecy rate after round k (entry 0 is the warm start). The
+    best-so-far solution is returned on budget exhaustion.
     """
     sol = user_aligned_state(ch, cfg)
     gap = rate_gap(ch, sol, cfg)
@@ -128,14 +129,14 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig, max_rounds: int = 30,
         if cand_gap >= gap:
             sol, gap = cand, cand_gap
 
-    offer(beamformer=gevd_oracle(effective_channels(ch, sol), cfg)[0])
-    for _ in range(max_rounds):
+    offer(beamformer=gevd_oracle(*effective_channels(ch, sol), cfg)[0])
+    for _ in range(MAX_ROUNDS):
         x_new, _ = dinkelbach_solve(ratio_coefficients(ch, sol), cfg)
         offer(onoff=x_new)
         theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
         offer(phases=theta_j, beamformer=w_j)
 
         trace.append(max(0.0, gap))
-        if trace[-1] - trace[-2] < tol:
+        if trace[-1] - trace[-2] < ROUND_TOL:
             break
     return sol, np.asarray(trace)

@@ -1,7 +1,8 @@
 """Transmit beamformer optimization for fixed surface state.
 
 Once the phases and on/off pattern are frozen, the whole problem is driven by
-the effective pair (a, b): maximize log2((1 + |a^H w|^2 / s2) /
+the effective pair (a, b), two complex arrays of length N_t that every entry
+point takes as its first two arguments: maximize log2((1 + |a^H w|^2 / s2) /
 (1 + |b^H w|^2 / s2e)) subject to ||w||^2 <= P. Two routes are provided:
 
 * sca_solve      -- successive convex approximation: linearize the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, EffectivePair, SystemConfig, gain_gap
+from .model import LN2, SystemConfig, _pair_gap
 
 __all__ = [
     "ScaIterate",
@@ -105,7 +106,7 @@ def _best_power(alpha: float, beta: float, sigma2: float, c_eve: float,
     return min(max(s, 0.0), p_max)
 
 
-def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
+def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
                    q_anchor: float) -> ScaIterate:
     """Solve one convex subproblem exactly.
 
@@ -119,20 +120,15 @@ def sca_subproblem(eff: EffectivePair, cfg: SystemConfig,
     consistent tA, found by bisection, and the power along it has a closed
     form.
     """
-    a = np.asarray(eff.eff_user, dtype=complex)
-    b = np.asarray(eff.eff_eve, dtype=complex)
-    return _subproblem(a, b, _split(a, b), cfg, q_anchor)
-
-
-def _subproblem(a, b, split, cfg: SystemConfig, q_anchor: float) -> ScaIterate:
-    """sca_subproblem on the arrays a, b, given their `_split`."""
     if not np.isfinite(q_anchor):
         raise ValueError("q_anchor must be finite")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     sigma2, sigma2_e = cfg.noise_user, cfg.noise_eve
     p_budget = cfg.power_budget
     c_eve = math.exp(-q_anchor) / sigma2_e
 
-    norm2_a, b_dot_a, b_perp, _, norm2_perp = split
+    norm2_a, b_dot_a, b_perp, _, norm2_perp = _split(a, b)
 
     w = np.zeros(len(a), dtype=complex)
     if norm2_a > 0.0:
@@ -190,13 +186,7 @@ def _subproblem(a, b, split, cfg: SystemConfig, q_anchor: float) -> ScaIterate:
     return ScaIterate(w=w, p_aux=p_aux, q_aux=q_aux, q_anchor=q_anchor)
 
 
-def _pair_gap(eff: EffectivePair, w: np.ndarray, cfg: SystemConfig) -> float:
-    """Unclamped rate difference achieved by w on the effective pair."""
-    return gain_gap(abs(np.vdot(eff.eff_user, w)) ** 2,
-                    abs(np.vdot(eff.eff_eve, w)) ** 2, cfg)
-
-
-def sca_solve(eff: EffectivePair, cfg: SystemConfig):
+def sca_solve(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     """Run the successive convex approximation loop.
 
     Starting from the full-power matched filter w0 = sqrt(P) a/||a||, anchor
@@ -212,8 +202,8 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig):
     beamformer (this happens when b is parallel to a and stronger: the loop
     then crawls and can stop at a negative rate).
     """
-    a = np.asarray(eff.eff_user, dtype=complex)
-    b = np.asarray(eff.eff_eve, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     p_budget = cfg.power_budget
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
@@ -221,13 +211,12 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig):
 
     w0 = math.sqrt(p_budget) * a / norm_a
     q_anchor = math.log1p(abs(np.vdot(b, w0)) ** 2 / cfg.noise_eve)
-    split = _split(a, b)
     trace = []
     prev = None
     converged = False
     iterate = None
     for _ in range(50):
-        iterate = _subproblem(a, b, split, cfg, q_anchor)
+        iterate = sca_subproblem(a, b, cfg, q_anchor)
         obj = iterate.objective
         trace.append(obj)
         if prev is not None and abs(obj - prev) < 1e-6:
@@ -237,7 +226,7 @@ def sca_solve(eff: EffectivePair, cfg: SystemConfig):
         q_anchor = iterate.q_aux
 
     w = iterate.w
-    if _pair_gap(eff, w, cfg) <= 0.0:
+    if _pair_gap(a, b, w, cfg) <= 0.0:
         w = np.zeros(len(a), dtype=complex)
     return w, np.asarray(trace), converged
 
@@ -272,7 +261,7 @@ def _pencil_rate(a: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
     return math.log2(lam) if lam > 1.0 else 0.0
 
 
-def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
+def gevd_oracle(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     """Closed-form global optimum of the fixed-surface beamforming problem.
 
     The best ratio (1 + |a^H w|^2/s2) / (1 + |b^H w|^2/s2e) over the power
@@ -298,8 +287,8 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     rounding). b counts as parallel to a (b_p = 0) by the threshold of
     `_split`, which the SCA route shares.
     """
-    a = np.asarray(eff.eff_user, dtype=complex)
-    b = np.asarray(eff.eff_eve, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp = _split(a, b)
     if norm2_a == 0.0:
         return np.zeros(len(a), dtype=complex), 0.0
@@ -320,7 +309,7 @@ def gevd_oracle(eff: EffectivePair, cfg: SystemConfig):
     # the eavesdropper is all but nulled (SNRs near 1e90 and beyond).
     if norm2_b > 0.0:
         w -= ((np.vdot(b, w) - scale * (kappa / top) * b_dot_a) / norm2_b) * b
-    rate = _pair_gap(eff, w, cfg)
+    rate = _pair_gap(a, b, w, cfg)
     if rate <= 0.0:
         return np.zeros(len(a), dtype=complex), 0.0
     return w, rate

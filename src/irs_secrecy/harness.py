@@ -95,7 +95,8 @@ _DBM_KEYS = {"noise_user_dbm": "noise_user", "noise_eve_dbm": "noise_eve",
 def load_config(path: str | None):
     """Build (SystemConfig, sweeps) from a JSON file; missing keys keep the
     built-in defaults and unknown keys are rejected. Power-like entries are
-    given in dBm in the file and converted to watts here, at the boundary."""
+    given in dBm in the file and converted to watts here, at the boundary.
+    A sweep grid must be a list of numbers."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,7 +112,10 @@ def load_config(path: str | None):
     cfg = SystemConfig(**kwargs)
     for key in sweeps:
         if key in raw:
-            sweeps[key] = list(raw[key])
+            grid = raw[key]
+            if not (isinstance(grid, list) and all(type(v) in (int, float) for v in grid)):
+                raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
+            sweeps[key] = grid
     return cfg, sweeps
 
 
@@ -215,7 +219,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     worker count (with timing off). The convergence experiment always traces
     the alternating optimizer; the baselines are one-shot and have no trace
     to record. A sweep experiment rejects an empty grid and a grid that
-    repeats a value.
+    repeats a value; element_sweep also rejects a non-integral count.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -241,6 +245,8 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             raise ValueError(f"{key} is empty")
         if len(set(grid)) < len(grid):
             raise ValueError(f"{key} repeats a value")
+        if key == "element_sweep" and not all(m.is_integer() for m in grid):
+            raise ValueError(f"{key} values must be integers")
         task_fn = _sweep_task
         if experiment == "power_sweep":
             tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,

@@ -6,6 +6,10 @@ runs through one of L reflecting surfaces, each with per-element phase control
 and a binary on/off switch. Everything here is pure and immutable: types are
 frozen dataclasses and every operation can be evaluated concurrently.
 
+With the surfaces fixed, the problem reduces to the effective pair (a, b):
+two complex arrays from `effective_channels`, and `_pair_gap` is the one
+formula for the rate difference a beamformer w achieves on them.
+
 Unit conventions: powers in watts (dBm only at the config boundary), distances
 in meters, rates in bits/s/Hz (all logs base 2).
 """
@@ -19,10 +23,8 @@ __all__ = [
     "SystemConfig",
     "ChannelSet",
     "SolutionState",
-    "EffectivePair",
     "dbm_to_watt",
     "effective_channels",
-    "achievable_rate",
     "gain_gap",
     "rate_gap",
     "secrecy_rate",
@@ -89,11 +91,16 @@ class SystemConfig:
     seed: int = 2020
 
     def __post_init__(self):
-        for name in ("n_tx", "n_refl", "n_irs",
-                     "paths_ap_irs", "paths_irs_user", "paths_irs_eve"):
-            if int(getattr(self, name)) < 1:
+        for name in ("n_tx", "n_refl", "n_irs", "paths_ap_irs", "paths_irs_user",
+                     "paths_irs_eve", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float, np.integer, np.floating))
+                    and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1")
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, int(value))
         if self.n_irs > MAX_SURFACES:
             raise ValueError(f"n_irs must be <= {MAX_SURFACES} for exact on/off "
                              f"selection, got {self.n_irs}")
@@ -116,7 +123,6 @@ class SystemConfig:
         if not np.all(np.isfinite(irs)):
             raise ValueError("irs_positions must be finite")
         object.__setattr__(self, "irs_positions", irs)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -211,43 +217,22 @@ class SolutionState:
             raise ValueError("onoff entries must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class EffectivePair:
-    """Aggregated effective channels for fixed surface state: a (user) and b
-    (eavesdropper), each of length N_t, so that a^H w is the user's received
-    amplitude. Both are zero when every surface is switched off."""
-
-    eff_user: np.ndarray
-    eff_eve: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eff_user",
-                           np.asarray(self.eff_user, dtype=complex))
-        object.__setattr__(self, "eff_eve",
-                           np.asarray(self.eff_eve, dtype=complex))
-
-
-def effective_channels(ch: ChannelSet, sol: SolutionState) -> EffectivePair:
+def effective_channels(ch: ChannelSet, sol: SolutionState):
     """Aggregate the per-surface cascades into the effective pair (a, b).
 
     a^H = sum_l x_l h_l^H diag(theta_l) G_l, and b^H likewise with the
     eavesdropper vectors: one product of the on/off-weighted phases with the
-    cascade rows.
+    cascade rows. Returns the complex arrays (a, b), each of length N_t, so
+    that a^H w is the user's received amplitude; both are zero when every
+    surface is switched off.
     """
     if sol.phases.shape != (ch.n_irs * ch.n_refl,):
         raise ValueError("phase vector does not match channel dimensions")
     if sol.onoff.shape != (ch.n_irs,):
         raise ValueError("onoff vector does not match channel dimensions")
     weights = np.repeat(sol.onoff, ch.n_refl) * sol.phases
-    return EffectivePair(eff_user=np.conj(weights @ ch.cascade_user),
-                         eff_eve=np.conj(weights @ ch.cascade_eve))
-
-
-def achievable_rate(eff: np.ndarray, w: np.ndarray, noise: float) -> float:
-    """log1p(|eff^H w|^2 / noise) / ln 2 in bits/s/Hz."""
-    if not noise > 0.0:
-        raise ValueError("noise power must be positive")
-    return math.log1p(abs(np.vdot(eff, w)) ** 2 / noise) / LN2
+    return (np.conj(weights @ ch.cascade_user),
+            np.conj(weights @ ch.cascade_eve))
 
 
 def gain_gap(gain_user: float, gain_eve: float, cfg: SystemConfig) -> float:
@@ -257,15 +242,19 @@ def gain_gap(gain_user: float, gain_eve: float, cfg: SystemConfig) -> float:
             - math.log1p(gain_eve / cfg.noise_eve)) / LN2
 
 
+def _pair_gap(a: np.ndarray, b: np.ndarray, w: np.ndarray,
+              cfg: SystemConfig) -> float:
+    """Unclamped rate difference that w achieves on the effective pair (a, b)."""
+    return gain_gap(abs(np.vdot(a, w)) ** 2, abs(np.vdot(b, w)) ** 2, cfg)
+
+
 def rate_gap(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig) -> float:
     """Unclamped user-minus-eavesdropper rate difference.
 
     The optimizers ascend this quantity; the clamp in secrecy_rate has zero
     gradient at zero and would stall them.
     """
-    eff = effective_channels(ch, sol)
-    return gain_gap(abs(np.vdot(eff.eff_user, sol.beamformer)) ** 2,
-                    abs(np.vdot(eff.eff_eve, sol.beamformer)) ** 2, cfg)
+    return _pair_gap(*effective_channels(ch, sol), sol.beamformer, cfg)
 
 
 def secrecy_rate(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig) -> float:

@@ -154,12 +154,11 @@ def ratio_value(coef: RatioCoefficients, x: np.ndarray, cfg: SystemConfig) -> fl
     return num / den
 
 
-def _binary_grid(n: int, block: int | None = None):
-    """Yield blocks of all 2^n binary rows (low bit = surface 0)."""
+def _binary_grid(n: int, block: int):
+    """Yield all 2^n binary rows (low bit = surface 0) in blocks of `block`."""
     if n > MAX_SURFACES:
         raise ValueError(f"enumeration limited to L <= {MAX_SURFACES}")
     total = 2 ** n
-    block = total if block is None else block
     bits = np.arange(n)
     for start in range(0, total, block):
         codes = np.arange(start, min(start + block, total), dtype=np.int64)

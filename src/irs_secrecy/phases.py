@@ -8,7 +8,8 @@ difference `model.gain_gap(|u|^2, |e|^2)` is ascended over the product of
 unit circles by Riemannian conjugate gradient: Wirtinger gradient, tangent
 projection (also the transport), Polak-Ribiere+ directions, renormalization
 as the retraction, Armijo backtracking. Switched-off surfaces have exactly
-zero gradient and their phases are held frozen.
+zero gradient and their phases are held frozen. The gradient is a pair of
+arrays, (euclidean, riemannian): the Wirtinger gradient and its tangent part.
 
 One ascent engine serves two value functions: `mo_ascend` ascends the
 objective above with the beamformer held fixed, and the joint refinement in
@@ -17,14 +18,11 @@ beamformer, which it builds at accepted points only. Both hand the engine
 the per-element amplitudes (c, d) at accepted points.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import LN2, ChannelSet, SolutionState, SystemConfig, gain_gap
 
 __all__ = [
-    "PhaseGradient",
     "phase_objective",
     "phase_objective_gradient",
     "mo_ascend",
@@ -33,19 +31,6 @@ __all__ = [
 
 GRID_MAX_ELEMENTS = 4
 ARMIJO = 1e-4
-
-
-@dataclass(frozen=True)
-class PhaseGradient:
-    """Euclidean Wirtinger gradient (w.r.t. conjugate phases) and its tangent
-    projection onto the product of circles."""
-
-    euclidean: np.ndarray
-    riemannian: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "euclidean", np.asarray(self.euclidean, dtype=complex))
-        object.__setattr__(self, "riemannian", np.asarray(self.riemannian, dtype=complex))
 
 
 def _active_stacks(ch: ChannelSet, sol: SolutionState):
@@ -144,14 +129,15 @@ def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
 
 
 def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
-                             cfg: SystemConfig) -> PhaseGradient:
-    """Wirtinger gradient of the phase objective and its tangent projection;
-    both are zero on the switched-off surfaces."""
+                             cfg: SystemConfig):
+    """Wirtinger gradient of the phase objective (w.r.t. the conjugate
+    phases) and its tangent projection onto the product of circles, returned
+    as (euclidean, riemannian); both are zero on the switched-off surfaces."""
     c, d, act = _active_stacks(ch, sol)
     euclidean = np.zeros(len(sol.phases), dtype=complex)
     riemannian = np.zeros(len(sol.phases), dtype=complex)
     euclidean[act], riemannian[act] = _tangent_gradient(sol.phases[act], c, d, cfg)
-    return PhaseGradient(euclidean=euclidean, riemannian=riemannian)
+    return euclidean, riemannian
 
 
 def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):

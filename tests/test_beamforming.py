@@ -5,31 +5,27 @@ import pytest
 
 from irs_secrecy.beamforming import (LOG2E, _pencil_rate, gevd_oracle, sca_solve,
                                      sca_subproblem)
-from irs_secrecy.model import EffectivePair
-
 from conftest import desk_config
 
 
-def pair_gap(eff, w, cfg):
-    gu = abs(np.vdot(eff.eff_user, w)) ** 2
-    ge = abs(np.vdot(eff.eff_eve, w)) ** 2
+def pair_gap(a, b, w, cfg):
+    gu = abs(np.vdot(a, w)) ** 2
+    ge = abs(np.vdot(b, w)) ** 2
     return np.log2(1.0 + gu / cfg.noise_user) - np.log2(1.0 + ge / cfg.noise_eve)
 
 
 def random_pair(rng, n_tx, eve_scale=1.0):
     a = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
     b = eve_scale * (rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx))
-    return EffectivePair(eff_user=a, eff_eve=b)
+    return a, b
 
 
-def scipy_pencil_reference(eff, cfg):
+def scipy_pencil_reference(a, b, cfg):
     """The pencil solved by a dense generalized eigensolver: Gram-Schmidt
     basis of span{a, b} (b dropped when within 1e-10 of parallel to a),
     scipy.linalg.eigh on the reduced (I + (P/s2) at at^H, I + (P/s2e) bt bt^H).
     Returns (w, rate, eigenvalues); w is zero when the top eigenvalue is <= 1."""
     linalg = pytest.importorskip("scipy.linalg")
-    a = np.asarray(eff.eff_user, dtype=complex)
-    b = np.asarray(eff.eff_eve, dtype=complex)
     cols = []
     for v in (a, b):
         nv = np.linalg.norm(v)
@@ -52,11 +48,11 @@ def scipy_pencil_reference(eff, cfg):
         return np.zeros(len(a), dtype=complex), 0.0, vals
     u = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
     w = math.sqrt(cfg.power_budget) * (basis @ u)
-    return w, pair_gap(eff, w, cfg), vals
+    return w, pair_gap(a, b, w, cfg), vals
 
 
 def pencil_instances(rng, per_class=100):
-    """(class, pair, config) over six classes of effective pairs."""
+    """(class, a, b, config) over six classes of effective pairs."""
     def cvec(n):
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -82,7 +78,7 @@ def pencil_instances(rng, per_class=100):
                 a = np.zeros(n_tx, dtype=complex)
             elif kind == "strong-eve":
                 b = 1e3 * b
-            cases.append((kind, EffectivePair(eff_user=a, eff_eve=b), cfg))
+            cases.append((kind, a, b, cfg))
     return cases
 
 
@@ -94,11 +90,10 @@ def subproblem_objective(t_a, t_b, cfg, q_anchor):
     return (p - q) * LOG2E
 
 
-def subproblem_grid_oracle(eff, cfg, q_anchor, n_dir=120, n_pow=120, zooms=3):
+def subproblem_grid_oracle(a, b, cfg, q_anchor, n_dir=120, n_pow=120, zooms=3):
     """Independent search over beamformers: QR basis of span{a, b},
     directions u(psi, chi) on the reduced sphere, power grid on [0, P],
     with local zoom refinement around the best cell."""
-    a, b = np.asarray(eff.eff_user), np.asarray(eff.eff_eve)
     stack = np.column_stack([a, b])
     q_mat, _ = np.linalg.qr(stack)
     at = q_mat.conj().T @ a
@@ -146,8 +141,7 @@ class TestScaSubproblem:
     def test_no_eavesdropper_matched_filter(self, rng):
         cfg = desk_config(n_tx=4, power=2.0)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        eff = EffectivePair(eff_user=a, eff_eve=np.zeros(4, dtype=complex))
-        it = sca_subproblem(eff, cfg, q_anchor=0.0)
+        it = sca_subproblem(a, np.zeros(4, dtype=complex), cfg, q_anchor=0.0)
         w_expect = cfg.power_budget * np.outer(a, np.conj(a)) / np.linalg.norm(a) ** 2
         assert np.allclose(np.outer(it.w, np.conj(it.w)), w_expect,
                            atol=1e-9 * np.linalg.norm(a) ** 2)
@@ -158,8 +152,7 @@ class TestScaSubproblem:
     def test_zero_user_channel(self, rng):
         cfg = desk_config(n_tx=3)
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        eff = EffectivePair(eff_user=np.zeros(3, dtype=complex), eff_eve=b)
-        it = sca_subproblem(eff, cfg, q_anchor=0.7)
+        it = sca_subproblem(np.zeros(3, dtype=complex), b, cfg, q_anchor=0.7)
         assert np.allclose(it.w, 0.0)
         assert it.p_aux == 0.0
         # minimal feasible q at zero eavesdropper power
@@ -171,17 +164,16 @@ class TestScaSubproblem:
             cfg = desk_config(n_tx=4,
                               noise_eve=float(10.0 ** rng.uniform(-0.5, 0.5)),
                               power=float(10.0 ** rng.uniform(-0.5, 0.5)))
-            eff = random_pair(rng, 4, eve_scale=float(10.0 ** rng.uniform(-0.5, 0.5)))
-            cases.append((cfg, eff, float(rng.uniform(0.0, 2.0))))
+            pair = random_pair(rng, 4, eve_scale=float(10.0 ** rng.uniform(-0.5, 0.5)))
+            cases.append((cfg, pair, float(rng.uniform(0.0, 2.0))))
         # eavesdropper parallel to the user: the optimum is below full power
-        a = random_pair(rng, 4).eff_user
-        interior = (desk_config(n_tx=4, power=10.0),
-                    EffectivePair(eff_user=a, eff_eve=a / 2), 0.0)
+        a, _ = random_pair(rng, 4)
+        interior = (desk_config(n_tx=4, power=10.0), (a, a / 2), 0.0)
         cases.append(interior)
         worst = 0.0
-        for cfg, eff, q_anchor in cases:
-            it = sca_subproblem(eff, cfg, q_anchor)
-            ref = subproblem_grid_oracle(eff, cfg, q_anchor)
+        for cfg, pair, q_anchor in cases:
+            it = sca_subproblem(*pair, cfg, q_anchor)
+            ref = subproblem_grid_oracle(*pair, cfg, q_anchor)
             worst = max(worst, abs(it.objective - ref))
             # grid points are feasible, so the exact solver can only be above
             assert it.objective >= ref - 1e-9
@@ -194,16 +186,16 @@ class TestScaSubproblem:
         pairs = [random_pair(rng, 5) for _ in range(10)]
         # nearly parallel channels: the span basis is least orthonormal here
         for _ in range(20):
-            a = random_pair(rng, 5).eff_user
-            b = 0.5 * np.exp(1j) * a + 1e-7 * random_pair(rng, 5).eff_user
-            pairs.append(EffectivePair(eff_user=a, eff_eve=b))
-        for eff in pairs:
+            a, _ = random_pair(rng, 5)
+            b = 0.5 * np.exp(1j) * a + 1e-7 * random_pair(rng, 5)[0]
+            pairs.append((a, b))
+        for a, b in pairs:
             cfg = desk_config(n_tx=5, power=3.0)
-            it = sca_subproblem(eff, cfg, q_anchor=float(rng.uniform(0, 3)))
+            it = sca_subproblem(a, b, cfg, q_anchor=float(rng.uniform(0, 3)))
             w = it.w
             assert w.shape == (5,)
             assert np.linalg.norm(w) ** 2 <= cfg.power_budget + 1e-9
-            t_a = abs(np.vdot(eff.eff_user, w)) ** 2
+            t_a = abs(np.vdot(a, w)) ** 2
             assert 1.0 + t_a / cfg.noise_user >= math.exp(it.p_aux) - 1e-9
 
 
@@ -211,24 +203,23 @@ class TestScaSolve:
     def test_no_eavesdropper_is_mrt(self, rng):
         cfg = desk_config(n_tx=6, power=4.0)
         a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        eff = EffectivePair(eff_user=a, eff_eve=np.zeros(6, dtype=complex))
-        w, trace, converged = sca_solve(eff, cfg)
+        b = np.zeros(6, dtype=complex)
+        w, trace, converged = sca_solve(a, b, cfg)
         assert converged
         # full power, matched direction (phase-invariant comparison)
         assert np.real(np.vdot(w, w)) == pytest.approx(cfg.power_budget, rel=1e-9)
         gain = abs(np.vdot(a, w)) ** 2
         assert gain == pytest.approx(cfg.power_budget * np.linalg.norm(a) ** 2,
                                      rel=1e-9)
-        assert pair_gap(eff, w, cfg) == pytest.approx(
+        assert pair_gap(a, b, w, cfg) == pytest.approx(
             np.log2(1.0 + cfg.power_budget * np.linalg.norm(a) ** 2
                     / cfg.noise_user), rel=1e-9)
 
     def test_identical_channels_zero_rate(self, rng):
         cfg = desk_config(n_tx=4)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        eff = EffectivePair(eff_user=a, eff_eve=a)
-        w, trace, _ = sca_solve(eff, cfg)
-        assert pair_gap(eff, w, cfg) == pytest.approx(0.0, abs=1e-9)
+        w, trace, _ = sca_solve(a, a, cfg)
+        assert pair_gap(a, a, w, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_parallel_stronger_eavesdropper_never_negative(self):
         # b = 2 e^{i phi} a: the optimum is not to transmit (rate 0). The SCA
@@ -242,18 +233,16 @@ class TestScaSolve:
             b = 2.0 * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)) * a
             if k % 2:
                 b = b + 1e-7 * (gen.standard_normal(5) + 1j * gen.standard_normal(5))
-            eff = EffectivePair(eff_user=a, eff_eve=b)
-            w, _, converged = sca_solve(eff, cfg)
+            w, _, converged = sca_solve(a, b, cfg)
             unconverged += not converged
-            assert pair_gap(eff, w, cfg) >= 0.0
+            assert pair_gap(a, b, w, cfg) >= 0.0
             assert np.linalg.norm(w) ** 2 <= cfg.power_budget + 1e-9
         print(f"\nparallel stronger eavesdropper: {unconverged}/200 unconverged")
 
     def test_zero_user_channel_gives_zero_beamformer(self):
         cfg = desk_config(n_tx=3)
-        eff = EffectivePair(eff_user=np.zeros(3, dtype=complex),
-                            eff_eve=np.ones(3, dtype=complex))
-        w, trace, converged = sca_solve(eff, cfg)
+        w, trace, converged = sca_solve(np.zeros(3, dtype=complex),
+                                        np.ones(3, dtype=complex), cfg)
         assert converged
         assert np.all(w == 0.0)
 
@@ -261,8 +250,7 @@ class TestScaSolve:
         for _ in range(10):
             cfg = desk_config(n_tx=4,
                               noise_eve=float(10.0 ** rng.uniform(-0.5, 0.5)))
-            eff = random_pair(rng, 4, eve_scale=1.5)
-            _, trace, _ = sca_solve(eff, cfg)
+            _, trace, _ = sca_solve(*random_pair(rng, 4, eve_scale=1.5), cfg)
             assert np.all(np.diff(trace) >= -1e-9)
 
     def test_matches_oracle_small_batch(self, rng):
@@ -271,11 +259,11 @@ class TestScaSolve:
             for _ in range(8):
                 cfg = desk_config(n_tx=n_tx,
                                   power=float(10.0 ** rng.uniform(-1, 2)))
-                eff = random_pair(rng, n_tx,
-                                  eve_scale=float(10.0 ** rng.uniform(-1, 1)))
-                w, _, _ = sca_solve(eff, cfg)
-                _, rate_ref = gevd_oracle(eff, cfg)
-                assert pair_gap(eff, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
+                a, b = random_pair(rng, n_tx,
+                                   eve_scale=float(10.0 ** rng.uniform(-1, 1)))
+                w, _, _ = sca_solve(a, b, cfg)
+                _, rate_ref = gevd_oracle(a, b, cfg)
+                assert pair_gap(a, b, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
 
 
 class TestGevdOracle:
@@ -283,8 +271,7 @@ class TestGevdOracle:
         cfg = desk_config(n_tx=4, power=2.0)
         a = np.array([1.0, 1.0j, 0.0, 0.0])
         b = np.array([0.0, 0.0, 2.0, -1.0j])
-        eff = EffectivePair(eff_user=a, eff_eve=b)
-        w, rate = gevd_oracle(eff, cfg)
+        w, rate = gevd_oracle(a, b, cfg)
         assert rate == pytest.approx(
             np.log2(1.0 + cfg.power_budget * np.linalg.norm(a) ** 2
                     / cfg.noise_user), rel=1e-10)
@@ -292,27 +279,25 @@ class TestGevdOracle:
 
     def test_identical_channels(self, rng):
         a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        eff = EffectivePair(eff_user=a, eff_eve=a)
-        w, rate = gevd_oracle(eff, desk_config(n_tx=5))
+        w, rate = gevd_oracle(a, a, desk_config(n_tx=5))
         assert rate == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zero_channels(self):
-        eff = EffectivePair(eff_user=np.zeros(3, dtype=complex),
-                            eff_eve=np.zeros(3, dtype=complex))
-        w, rate = gevd_oracle(eff, desk_config(n_tx=3))
+        zero = np.zeros(3, dtype=complex)
+        w, rate = gevd_oracle(zero, zero, desk_config(n_tx=3))
         assert np.all(w == 0.0)
         assert rate == 0.0
 
     def test_beats_random_search(self, rng):
         # certificate: no random feasible beamformer does better
         cfg = desk_config(n_tx=6, power=1.7)
-        eff = random_pair(rng, 6, eve_scale=1.3)
-        _, rate = gevd_oracle(eff, cfg)
+        a, b = random_pair(rng, 6, eve_scale=1.3)
+        _, rate = gevd_oracle(a, b, cfg)
         n = 100_000
         cand = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         cand *= math.sqrt(cfg.power_budget) / np.linalg.norm(cand, axis=0)
-        gu = np.abs(np.conj(eff.eff_user) @ cand) ** 2
-        ge = np.abs(np.conj(eff.eff_eve) @ cand) ** 2
+        gu = np.abs(np.conj(a) @ cand) ** 2
+        ge = np.abs(np.conj(b) @ cand) ** 2
         gaps = (np.log2(1.0 + gu / cfg.noise_user)
                 - np.log2(1.0 + ge / cfg.noise_eve))
         assert rate >= float(gaps.max()) - 1e-9
@@ -322,9 +307,9 @@ class TestGevdOracle:
         eigensolver on 600 pairs: same rate, same decision to stay silent,
         same beamformer up to phase wherever the two roots are apart."""
         worst_rate, worst_dir, compared = 0.0, 0.0, 0
-        for kind, eff, cfg in pencil_instances(np.random.default_rng(505)):
-            w, rate = gevd_oracle(eff, cfg)
-            w_ref, rate_ref, vals = scipy_pencil_reference(eff, cfg)
+        for kind, a, b, cfg in pencil_instances(np.random.default_rng(505)):
+            w, rate = gevd_oracle(a, b, cfg)
+            w_ref, rate_ref, vals = scipy_pencil_reference(a, b, cfg)
             err = abs(rate - rate_ref)
             worst_rate = max(worst_rate, err / (1.0 + abs(rate_ref)))
             assert err <= 1e-10 + 1e-10 * abs(rate_ref), (kind, rate, rate_ref)
@@ -353,8 +338,7 @@ class TestGevdOracle:
         the scipy comparison, and on pairs at 1e-4 to 1e-1 of parallel,
         where ||b||^2 - |b^H a|^2/||a||^2 loses up to eight digits."""
         rng = np.random.default_rng(505)
-        cases = [(kind, eff.eff_user, eff.eff_eve, cfg)
-                 for kind, eff, cfg in pencil_instances(rng)]
+        cases = pencil_instances(rng)
         for _ in range(100):
             n_tx = int(rng.choice([2, 4, 8, 16]))
             cfg = desk_config(n_tx=n_tx, power=float(10.0 ** rng.uniform(-1, 4)))
@@ -365,7 +349,7 @@ class TestGevdOracle:
             cases.append(("oblique", a, b, cfg))
         worst = 0.0
         for kind, a, b, cfg in cases:
-            _, rate = gevd_oracle(EffectivePair(eff_user=a, eff_eve=b), cfg)
+            _, rate = gevd_oracle(a, b, cfg)
             for value in (_pencil_rate(a, b, cfg),
                           _pencil_rate(np.conj(a), np.conj(b), cfg)):
                 err = abs(value - rate) / max(1.0, abs(rate))
@@ -375,11 +359,11 @@ class TestGevdOracle:
 
     def test_solution_lives_in_span(self, rng):
         cfg = desk_config(n_tx=8)
-        eff = random_pair(rng, 8)
-        w, rate = gevd_oracle(eff, cfg)
-        basis = np.linalg.qr(np.column_stack([eff.eff_user, eff.eff_eve]))[0]
+        a, b = random_pair(rng, 8)
+        w, rate = gevd_oracle(a, b, cfg)
+        basis = np.linalg.qr(np.column_stack([a, b]))[0]
         w_proj = basis @ (basis.conj().T @ w)
-        assert abs(pair_gap(eff, w_proj, cfg) - rate) < 1e-12
+        assert abs(pair_gap(a, b, w_proj, cfg) - rate) < 1e-12
 
 
 class TestOracleDominance:
@@ -387,8 +371,8 @@ class TestOracleDominance:
         for _ in range(15):
             cfg = desk_config(n_tx=4,
                               noise_eve=float(10.0 ** rng.uniform(-0.5, 0.5)))
-            eff = random_pair(rng, 4, eve_scale=1.1)
-            w, _, converged = sca_solve(eff, cfg)
-            _, rate_ref = gevd_oracle(eff, cfg)
+            a, b = random_pair(rng, 4, eve_scale=1.1)
+            w, _, converged = sca_solve(a, b, cfg)
+            _, rate_ref = gevd_oracle(a, b, cfg)
             if converged:
-                assert rate_ref >= pair_gap(eff, w, cfg) - 1e-9
+                assert rate_ref >= pair_gap(a, b, w, cfg) - 1e-9

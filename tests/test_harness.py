@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -77,10 +78,10 @@ class TestBaselines:
         assert np.all(sol.onoff == 1)
         # matched filter: the best possible beamformer for its own phases
         # when there is no eavesdropper
-        eff = effective_channels(ch, sol)
-        gain = abs(np.vdot(eff.eff_user, sol.beamformer)) ** 2
+        a, _ = effective_channels(ch, sol)
+        gain = abs(np.vdot(a, sol.beamformer)) ** 2
         assert gain == pytest.approx(
-            cfg.power_budget * np.linalg.norm(eff.eff_user) ** 2, rel=1e-12)
+            cfg.power_budget * np.linalg.norm(a) ** 2, rel=1e-12)
 
     def test_random_baseline_feasible_and_reproducible(self, rng):
         cfg = small_cfg()
@@ -224,6 +225,7 @@ class TestRunExperiment:
         ("power_sweep", "power_sweep_dbm", [10.0, 20.0, 10]),
         ("element_sweep", "element_sweep", []),
         ("element_sweep", "element_sweep", [4, 4.0]),
+        ("element_sweep", "element_sweep", [4, 2.5]),
     ])
     def test_rejects_empty_or_repeated_grid(self, tmp_path, experiment, key, grid):
         out = tmp_path / "x.csv"
@@ -313,8 +315,11 @@ class TestCli:
         assert "power_dBm" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid,message", [([], "power_sweep_dbm is empty"),
-                                              ([0, 30, 0.0], "power_sweep_dbm repeats")])
+    @pytest.mark.parametrize("grid,message", [
+        ([], "power_sweep_dbm is empty"),
+        ([0, 30, 0.0], "power_sweep_dbm repeats"),
+        ("30", "power_sweep_dbm must be a list of numbers"),
+    ])
     def test_bad_sweep_grid_fails_cleanly(self, tmp_path, capsys, grid, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**SMALL, "power_sweep_dbm": grid}))
@@ -347,3 +352,11 @@ class TestPackaging:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["ao", "beamforming", "channel_gen",
+                                        "harness", "model", "onoff", "phases"])
+    def test_exports_exist(self, module):
+        # a name left in __all__ after its definition is deleted breaks
+        # `from irs_secrecy.<module> import *`
+        mod = importlib.import_module(f"irs_secrecy.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
