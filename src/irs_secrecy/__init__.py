@@ -1,8 +1,9 @@
 """Secrecy-rate maximization for a multi-IRS mmWave downlink.
 
 Library + CLI simulator that jointly optimizes per-surface on/off switching
-(exact enumeration of the rate ratio over all subset sums of the per-surface
-amplitudes) and unit-modulus phase shifts with the transmit beamformer
+(exact enumeration of the rate ratio over all subset sums of the two arrays
+of per-surface amplitudes, to the user and to the eavesdropper) and
+unit-modulus phase shifts with the transmit beamformer
 (Riemannian conjugate-gradient ascent on the envelope over the closed-form
 beamformer), cycled by a safeguarded alternating-optimization
 driver. The paper's beamformer solver, successive convex approximation, is
@@ -19,8 +20,8 @@ from .harness import (ExperimentRecord, consolidate_single_irs, load_config,
                       mrt_baseline, random_baseline, run_experiment)
 from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
                     effective_channels, gain_gap, rate_gap, secrecy_rate)
-from .onoff import (RatioCoefficients, brute_force_onoff, dinkelbach_solve,
-                    ratio_coefficients, ratio_value)
+from .onoff import (brute_force_onoff, dinkelbach_solve, ratio_coefficients,
+                    ratio_value)
 from .phases import (mo_ascend, phase_grid_oracle, phase_objective,
                      phase_objective_gradient)
 

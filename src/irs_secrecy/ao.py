@@ -100,8 +100,7 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
         return cd[:n_act], cd[n_act:]
 
     phases[act], conj_ab, trace = _riemannian_ascent(
-        phases[act], evaluate, amplitudes, cfg, max_iter=2000, tol=1e-12,
-        patience=5)
+        phases[act], evaluate, amplitudes, cfg)
     if built[0] is not conj_ab:
         amplitudes(conj_ab)
     return phases, built[1], trace
@@ -131,7 +130,7 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig):
 
     offer(beamformer=gevd_oracle(*effective_channels(ch, sol), cfg)[0])
     for _ in range(MAX_ROUNDS):
-        x_new, _ = dinkelbach_solve(ratio_coefficients(ch, sol), cfg)
+        x_new, _ = dinkelbach_solve(*ratio_coefficients(ch, sol), cfg)
         offer(onoff=x_new)
         theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
         offer(phases=theta_j, beamformer=w_j)

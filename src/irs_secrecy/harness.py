@@ -96,7 +96,7 @@ def load_config(path: str | None):
     """Build (SystemConfig, sweeps) from a JSON file; missing keys keep the
     built-in defaults and unknown keys are rejected. Power-like entries are
     given in dBm in the file and converted to watts here, at the boundary.
-    A sweep grid must be a list of numbers."""
+    The sweep grids are checked by run_experiment."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,10 +112,7 @@ def load_config(path: str | None):
     cfg = SystemConfig(**kwargs)
     for key in sweeps:
         if key in raw:
-            grid = raw[key]
-            if not (isinstance(grid, list) and all(type(v) in (int, float) for v in grid)):
-                raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
-            sweeps[key] = grid
+            sweeps[key] = raw[key]
     return cfg, sweeps
 
 
@@ -218,8 +215,10 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     master_seed, schemes): identical inputs give byte-identical CSVs at any
     worker count (with timing off). The convergence experiment always traces
     the alternating optimizer; the baselines are one-shot and have no trace
-    to record. A sweep experiment rejects an empty grid and a grid that
-    repeats a value; element_sweep also rejects a non-integral count.
+    to record. Every sweep grid must be a list of numbers, and master_seed a
+    seed that SystemConfig accepts. A sweep experiment rejects an empty grid
+    and a grid that repeats a value; element_sweep also rejects a
+    non-integral count.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -228,7 +227,14 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sweeps = {**default_sweeps(), **(sweeps or {})}
-    master_seed = cfg.seed if master_seed is None else int(master_seed)
+    for key, grid in sweeps.items():
+        if not (isinstance(grid, (list, tuple, np.ndarray)) and all(
+                isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) for v in grid)):
+            raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
+    if master_seed is not None:
+        cfg = replace(cfg, seed=master_seed)
+    master_seed = cfg.seed
     schemes = tuple(schemes) if schemes else (
         ("ao-multi-irs",) if experiment == "convergence" else SCHEMES)
     for scheme in schemes:

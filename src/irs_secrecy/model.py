@@ -98,8 +98,9 @@ class SystemConfig:
                     isinstance(value, (int, float, np.integer, np.floating))
                     and float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be >= 1")
+            minimum = 0 if name == "seed" else 1
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n_irs > MAX_SURFACES:
             raise ValueError(f"n_irs must be <= {MAX_SURFACES} for exact on/off "
@@ -172,9 +173,6 @@ class ChannelSet:
     @property
     def n_tx(self) -> int:
         return self.g_ap_irs.shape[2]
-
-    def matches(self, cfg: SystemConfig) -> bool:
-        return (self.n_irs, self.n_refl, self.n_tx) == (cfg.n_irs, cfg.n_refl, cfg.n_tx)
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,25 @@ receiver (v_l to the user, u_l to the eavesdropper), and a selection x in
 
     N(x)/D(x) = (1 + |sum_l x_l v_l|^2 / s2) / (1 + |sum_l x_l u_l|^2 / s2e).
 
-dinkelbach_solve maximizes it exactly by enumerating all 2^L subset sums of
-the amplitudes, built by doubling, so each selection costs O(1) rather than
-O(L); they are filled in place as real rows in blocks that stay under 1 MB.
-The certification oracle takes an independent route: quadratic_expansion
-expands both powers into binary quadratics,
+The block holds nothing but the two amplitude arrays, v_user and v_eve of
+shape (L,), which ratio_coefficients returns and every public entry point
+checks. dinkelbach_solve maximizes the ratio exactly by enumerating all 2^L
+subset sums of the amplitudes, built by doubling, so each selection costs
+O(1) rather than O(L); they are filled in place as real rows in blocks that
+stay under 1 MB. The certification oracle takes an independent route:
+quadratic_expansion expands both powers into binary quadratics,
 
     |sum_l x_l v_l|^2 = sum_l C_l x_l + sum_{l>m} C_lm x_l x_m,
 
 with C_l = |v_l|^2 and C_lm = 2 Re(v_l v_m*), and brute_force_onoff scans
-every selection of that quadratic form.
+every selection of that quadratic form with ratio_value, block by block.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import MAX_SURFACES, ChannelSet, SolutionState, SystemConfig
 
 __all__ = [
-    "RatioCoefficients",
     "ratio_coefficients",
     "quadratic_expansion",
     "quadratic_value",
@@ -40,35 +39,8 @@ __all__ = [
 BLOCK_BITS = 13
 
 
-@dataclass(frozen=True)
-class RatioCoefficients:
-    """Per-surface complex amplitudes of a fixed (w, theta): v_user[l] = v_l
-    to the user and v_eve[l] = u_l to the eavesdropper, both of shape (L,)
-    and finite. dinkelbach_solve enumerates their subset sums; the oracle
-    expands them with quadratic_expansion.
-    """
-
-    v_user: np.ndarray
-    v_eve: np.ndarray
-
-    def __post_init__(self):
-        shapes = np.shape(self.v_user), np.shape(self.v_eve)
-        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
-            raise ValueError("v_user and v_eve must have the same shape (L,), "
-                             f"got {shapes[0]} and {shapes[1]}")
-        for name in ("v_user", "v_eve"):
-            v = np.asarray(getattr(self, name), dtype=complex)
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must hold finite amplitudes")
-            object.__setattr__(self, name, v)
-
-    @property
-    def n_irs(self) -> int:
-        return len(self.v_user)
-
-
-def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
-    """Per-surface amplitudes of the current (w, theta),
+def ratio_coefficients(ch: ChannelSet, sol: SolutionState):
+    """Per-surface amplitudes (v_user, v_eve) of the current (w, theta),
     v_user[l] = h_l^H diag(theta_l) G_l w and likewise for the eavesdropper.
 
     The on/off entries of sol are ignored; selection happens through x.
@@ -76,8 +48,25 @@ def ratio_coefficients(ch: ChannelSet, sol: SolutionState) -> RatioCoefficients:
     def per_surface(rows):
         return (sol.phases * (rows @ sol.beamformer)).reshape(-1, ch.n_refl).sum(axis=1)
 
-    return RatioCoefficients(v_user=per_surface(ch.cascade_user),
-                             v_eve=per_surface(ch.cascade_eve))
+    return per_surface(ch.cascade_user), per_surface(ch.cascade_eve)
+
+
+def _amplitudes(v_user, v_eve):
+    """The amplitude pair as complex arrays, after checking that both have
+    shape (L,) with L <= MAX_SURFACES and hold finite entries."""
+    if np.ndim(v_user) != 1:
+        raise ValueError(f"v_user must have shape (L,), got {np.shape(v_user)}")
+    if np.shape(v_eve) != np.shape(v_user):
+        raise ValueError(f"v_eve must have the shape {np.shape(v_user)} of v_user, "
+                         f"got {np.shape(v_eve)}")
+    if len(v_user) > MAX_SURFACES:
+        raise ValueError(f"v_user and v_eve hold {len(v_user)} surfaces; "
+                         f"enumeration is limited to L <= {MAX_SURFACES}")
+    pair = np.asarray(v_user, dtype=complex), np.asarray(v_eve, dtype=complex)
+    for name, v in zip(("v_user", "v_eve"), pair):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must hold finite amplitudes")
+    return pair
 
 
 def _subset_sums(rows, surfaces, n):
@@ -94,9 +83,9 @@ def _subset_sums(rows, surfaces, n):
     return sums, key
 
 
-def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
+def dinkelbach_solve(v_user, v_eve, cfg: SystemConfig):
     """Exact maximizer of the ratio N(x)/D(x) over all 2^L on/off selections,
-    from the amplitudes coef.v_user and coef.v_eve.
+    from the per-surface amplitudes v_user and v_eve, each of shape (L,).
 
     The low min(L, BLOCK_BITS) surfaces and the remaining high surfaces are
     enumerated separately, as four real rows (Re, Im of each receiver's sum);
@@ -106,11 +95,10 @@ def dinkelbach_solve(coef: RatioCoefficients, cfg: SystemConfig):
     The name is the key under which bench/ traces the on/off layer; no
     Dinkelbach parameter iteration is needed once the ratio is enumerated.
     """
-    n = coef.n_irs
-    if n > MAX_SURFACES:
-        raise ValueError(f"exact selection limited to L <= {MAX_SURFACES}")
+    v_user, v_eve = _amplitudes(v_user, v_eve)
+    n = len(v_user)
     n_lo = min(n, BLOCK_BITS)
-    rows = np.array([coef.v_user.real, coef.v_user.imag, coef.v_eve.real, coef.v_eve.imag])
+    rows = np.array([v_user.real, v_user.imag, v_eve.real, v_eve.imag])
     lo, lo_key = _subset_sums(rows, range(n_lo), n)
     hi, hi_key = _subset_sums(rows, range(n_lo, n), n)
     noise = np.array([[cfg.noise_user], [cfg.noise_eve]])
@@ -141,48 +129,43 @@ def quadratic_expansion(v: np.ndarray):
     return np.abs(v) ** 2, np.tril(2.0 * np.real(np.outer(v, np.conj(v))), k=-1)
 
 
-def quadratic_value(lin: np.ndarray, cross: np.ndarray, x: np.ndarray) -> float:
-    """sum_l lin_l x_l + sum_{l>m} cross_lm x_l x_m for binary x."""
+def quadratic_value(lin: np.ndarray, cross: np.ndarray, x: np.ndarray):
+    """sum_l lin_l x_l + sum_{l>m} cross_lm x_l x_m for a binary selection x,
+    or for each row of a batch x of shape (B, L)."""
     xf = np.asarray(x, dtype=float)
-    return float(lin @ xf + xf @ cross @ xf)
+    return xf @ lin + np.einsum("...i,ij,...j->...", xf, cross, xf)
 
 
-def ratio_value(coef: RatioCoefficients, x: np.ndarray, cfg: SystemConfig) -> float:
-    """Exact ratio N(x)/D(x) at a binary selection."""
-    num = 1.0 + quadratic_value(*quadratic_expansion(coef.v_user), x) / cfg.noise_user
-    den = 1.0 + quadratic_value(*quadratic_expansion(coef.v_eve), x) / cfg.noise_eve
+def ratio_value(v_user, v_eve, x: np.ndarray, cfg: SystemConfig):
+    """Exact ratio N(x)/D(x) at a binary selection x, or at each row of a
+    batch x of shape (B, L)."""
+    v_user, v_eve = _amplitudes(v_user, v_eve)
+    num = 1.0 + quadratic_value(*quadratic_expansion(v_user), x) / cfg.noise_user
+    den = 1.0 + quadratic_value(*quadratic_expansion(v_eve), x) / cfg.noise_eve
     return num / den
 
 
-def _binary_grid(n: int, block: int):
-    """Yield all 2^n binary rows (low bit = surface 0) in blocks of `block`."""
-    if n > MAX_SURFACES:
-        raise ValueError(f"enumeration limited to L <= {MAX_SURFACES}")
-    total = 2 ** n
+def _binary_grid(n: int):
+    """Yield all 2^n binary rows (low bit = surface 0) in blocks of
+    2^BLOCK_BITS."""
+    total, block = 2 ** n, 1 << BLOCK_BITS
     bits = np.arange(n)
     for start in range(0, total, block):
         codes = np.arange(start, min(start + block, total), dtype=np.int64)
         yield ((codes[:, None] >> bits) & 1).astype(int)
 
 
-def _quad_batch(lin, cross, grid):
-    xf = grid.astype(float)
-    return xf @ lin + np.einsum("bi,ij,bj->b", xf, cross, xf)
-
-
-def brute_force_onoff(coef: RatioCoefficients, cfg: SystemConfig):
+def brute_force_onoff(v_user, v_eve, cfg: SystemConfig):
     """Enumerate all 2^L selections and return the exact ratio maximizer.
 
     Ties break toward fewer active surfaces, then lexicographically.
     Certification oracle; refuses L > MAX_SURFACES.
     """
-    user, eve = quadratic_expansion(coef.v_user), quadratic_expansion(coef.v_eve)
+    v_user, v_eve = _amplitudes(v_user, v_eve)
     best_ratio = -np.inf
     winners = []
-    for grid in _binary_grid(coef.n_irs, block=1 << BLOCK_BITS):
-        num = 1.0 + _quad_batch(*user, grid) / cfg.noise_user
-        den = 1.0 + _quad_batch(*eve, grid) / cfg.noise_eve
-        ratios = num / den
+    for grid in _binary_grid(len(v_user)):
+        ratios = ratio_value(v_user, v_eve, grid, cfg)
         block_best = float(np.max(ratios))
         if block_best > best_ratio:
             best_ratio = block_best

@@ -11,11 +11,12 @@ as the retraction, Armijo backtracking. Switched-off surfaces have exactly
 zero gradient and their phases are held frozen. The gradient is a pair of
 arrays, (euclidean, riemannian): the Wirtinger gradient and its tangent part.
 
-One ascent engine serves two value functions: `mo_ascend` ascends the
-objective above with the beamformer held fixed, and the joint refinement in
-`ao` (the AO round's phase block) ascends its envelope over the closed-form
-beamformer, which it builds at accepted points only. Both hand the engine
-the per-element amplitudes (c, d) at accepted points.
+One ascent engine, with one stopping rule, serves two value functions:
+`mo_ascend` ascends the objective above with the beamformer held fixed, and
+the joint refinement in `ao` (the AO round's phase block) ascends its
+envelope over the closed-form beamformer, which it builds at accepted points
+only. Both hand the engine the per-element amplitudes (c, d) at accepted
+points.
 """
 
 import numpy as np
@@ -31,6 +32,9 @@ __all__ = [
 
 GRID_MAX_ELEMENTS = 4
 ARMIJO = 1e-4
+MAX_ITER = 2000
+TOL = 1e-12
+PATIENCE = 5
 
 
 def _active_stacks(ch: ChannelSet, sol: SolutionState):
@@ -62,7 +66,7 @@ def _tangent_gradient(theta, c, d, cfg):
     return euclidean, _transport(theta, euclidean)
 
 
-def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience):
+def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
     """Polak-Ribiere+ conjugate-gradient ascent on the product of circles.
 
     evaluate(theta) -> (value, state) is called at every trial point;
@@ -73,11 +77,11 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience
     retracted by elementwise renormalization and accepted only on sufficient
     increase along the slope Re<d, xi> (Armijo), so the trace is
     non-decreasing. The step doubles after each accepted step and halves on
-    each rejection. Stops once `patience` consecutive accepted steps improve
-    by less than tol (a single small step can be an overshoot artifact of the
+    each rejection. Stops once PATIENCE consecutive accepted steps improve
+    by less than TOL (a single small step can be an overshoot artifact of the
     step-size warm start), at a stationary point (||xi||^2 <= 1e-20 ||g||^2:
     a phase-invariant objective leaves a rounding-level tangent part xi of
-    the gradient g), when backtracking fails, or at max_iter.
+    the gradient g), when backtracking fails, or after MAX_ITER steps.
     Returns (theta, state, trace).
     """
     value, state = evaluate(theta)
@@ -85,7 +89,7 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience
     step = 1.0
     small_steps = 0
     xi_prev = direction = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         g, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
         sq_norm = float(np.vdot(xi, xi).real)
         if sq_norm <= max(1e-20 * np.vdot(g, g).real, 1e-300):
@@ -114,8 +118,8 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg, max_iter, tol, patience
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
         step = min(step * 2.0, 1e6)
-        small_steps = small_steps + 1 if delta < tol else 0
-        if small_steps >= patience:
+        small_steps = small_steps + 1 if delta < TOL else 0
+        if small_steps >= PATIENCE:
             break
     return theta, state, np.asarray(trace)
 
@@ -151,7 +155,7 @@ def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
     phases = np.array(sol.phases, dtype=complex)
     phases[act], _, trace = _riemannian_ascent(
         phases[act], lambda theta: (_objective(theta, c, d, cfg), None),
-        lambda _: (c, d), cfg, max_iter=500, tol=1e-8, patience=3)
+        lambda _: (c, d), cfg)
     return phases, trace
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from irs_secrecy.model import ChannelSet, SolutionState, SystemConfig
-from irs_secrecy.onoff import RatioCoefficients
 
 
 def desk_config(n_tx=4, n_refl=3, n_irs=2, noise_user=1.0, noise_eve=1.0,
@@ -41,12 +40,13 @@ def random_solution(rng, cfg, all_on=True) -> SolutionState:
 
 
 def random_coefficients(rng, n_irs, spread=1.0):
-    """Random coefficient instance plus the generating amplitudes."""
+    """Random per-surface amplitudes (v_user, v_eve) with magnitudes spread
+    over 10^(+-spread)."""
     sv = 10.0 ** rng.uniform(-spread, spread, size=n_irs)
     su = 10.0 ** rng.uniform(-spread, spread, size=n_irs)
     v = sv * (rng.standard_normal(n_irs) + 1j * rng.standard_normal(n_irs))
     u = su * (rng.standard_normal(n_irs) + 1j * rng.standard_normal(n_irs))
-    return RatioCoefficients(v_user=v, v_eve=u), v, u
+    return v, u
 
 
 @pytest.fixture

@@ -71,13 +71,13 @@ def test_criterion_2_onoff_oracle_equivalence():
     n_instances = 200
     for k in range(n_instances):
         n_irs = int(rng.integers(2, 11))
-        coef, _, _ = random_coefficients(rng, n_irs,
-                                         spread=float(rng.uniform(0.5, 2.0)))
+        v_user, v_eve = random_coefficients(rng, n_irs,
+                                            spread=float(rng.uniform(0.5, 2.0)))
         cfg = desk_config(n_irs=n_irs,
                           noise_user=float(10.0 ** rng.uniform(-2, 1)),
                           noise_eve=float(10.0 ** rng.uniform(-2, 1)))
-        x_bf, ratio_bf = brute_force_onoff(coef, cfg)
-        x, ratio = dinkelbach_solve(coef, cfg)
+        x_bf, ratio_bf = brute_force_onoff(v_user, v_eve, cfg)
+        x, ratio = dinkelbach_solve(v_user, v_eve, cfg)
         worst = max(worst, abs(ratio - ratio_bf) / max(1.0, abs(ratio_bf)))
         mismatches += not np.array_equal(x, x_bf)
     elapsed = time.perf_counter() - start
@@ -219,7 +219,7 @@ def test_criterion_8_coefficient_reconstruction():
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=n_irs)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
-        coef = ratio_coefficients(ch, sol)
+        v_user, v_eve = ratio_coefficients(ch, sol)
         theta = sol.phase_blocks(cfg.n_refl)
         amps_user = np.array([
             np.conj(ch.h_irs_user[l]) * theta[l] @ (ch.g_ap_irs[l] @ sol.beamformer)
@@ -227,8 +227,8 @@ def test_criterion_8_coefficient_reconstruction():
         amps_eve = np.array([
             np.conj(ch.g_irs_eve[l]) * theta[l] @ (ch.g_ap_irs[l] @ sol.beamformer)
             for l in range(n_irs)])
-        expansions = ((amps_user, quadratic_expansion(coef.v_user)),
-                      (amps_eve, quadratic_expansion(coef.v_eve)))
+        expansions = ((amps_user, quadratic_expansion(v_user)),
+                      (amps_eve, quadratic_expansion(v_eve)))
         for bits in itertools.product((0, 1), repeat=n_irs):
             x = np.array(bits, dtype=float)
             for amps, (lin, cross) in expansions:

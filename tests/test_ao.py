@@ -93,8 +93,7 @@ class TestAoSolve:
         w_new, _, _ = sca_solve(*effective_channels(ch, sol), cfg)
         assert rate_gap(ch, replace(sol, beamformer=w_new), cfg) - gap < tol
 
-        coef = ratio_coefficients(ch, sol)
-        x_new, _ = dinkelbach_solve(coef, cfg)
+        x_new, _ = dinkelbach_solve(*ratio_coefficients(ch, sol), cfg)
         assert rate_gap(ch, replace(sol, onoff=x_new), cfg) - gap < tol
 
         theta_new, _ = mo_ascend(ch, sol, cfg)

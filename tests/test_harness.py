@@ -234,6 +234,18 @@ class TestRunExperiment:
                            out_path=str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["30", [30.0, "40"], [[30.0]], [True]])
+    def test_rejects_grid_that_is_not_a_list_of_numbers(self, grid):
+        # a string grid was once read character by character (0.0 and 3.0 dBm)
+        with pytest.raises(ValueError, match="power_sweep_dbm must be a list of numbers"):
+            run_experiment(small_cfg(), "power_sweep", 1,
+                           sweeps={"power_sweep_dbm": grid}, schemes=["mrt"])
+
+    def test_rejects_negative_master_seed(self):
+        # numpy's SeedSequence would refuse it later, without naming the seed
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_experiment(small_cfg(), "convergence", trials=1, master_seed=-3)
+
     def test_eavesdropper_at_user_gives_valid_solutions(self, monkeypatch):
         # every solution the harness produces is feasible with a finite,
         # non-decreasing trace, even with no spatial advantage to exploit
@@ -328,6 +340,16 @@ class TestCli:
                      "--trials", "1", "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "convergence",
+                     "--trials", "1", "--seed", "-3", "--out", str(out)])
+        assert code == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):

@@ -194,9 +194,10 @@ class TestValidation:
         # counts and the seed are never truncated or coerced
         for name, value in (("n_tx", 4.7), ("seed", 1.9), ("n_tx", True),
                             ("n_refl", "4"), ("paths_irs_eve", float("nan")),
-                            ("n_irs", np.bool_(True))):
+                            ("n_irs", np.bool_(True)), ("seed", -3)):
             with pytest.raises(ValueError, match=name):
                 SystemConfig(**{name: value})
+        assert SystemConfig(seed=0).seed == 0
         cfg = SystemConfig(n_tx=np.int64(4), n_refl=8.0, seed=np.float64(3.0))
         assert (cfg.n_tx, cfg.n_refl, cfg.seed) == (4, 8, 3)
         assert all(type(v) is int for v in (cfg.n_tx, cfg.n_refl, cfg.seed))
