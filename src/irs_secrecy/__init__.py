@@ -14,8 +14,8 @@ block that is a scan of the expanded quadratic form.
 
 from .ao import ao_solve, matched_filter, user_aligned_state
 from .beamforming import ScaIterate, gevd_oracle, sca_solve, sca_subproblem
-from .channel_gen import (PathParams, gen_channels, linear_path_gain,
-                          pathloss_db, steering_vector)
+from .channel_gen import (gen_channels, linear_path_gain, pathloss_db,
+                          steering_vector)
 from .harness import (ExperimentRecord, consolidate_single_irs, load_config,
                       mrt_baseline, random_baseline, run_experiment)
 from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,

@@ -7,44 +7,22 @@ large-scale attenuation follows a log-distance law and scales the whole ray
 sum so that the expected squared channel norm equals the link's linear gain
 times the element count.
 
-All randomness flows through the injected generator; there is no hidden
-global state, so identical seeds give bit-identical channels.
+All randomness flows through the injected generator, in one fixed order. Per
+surface the links come AP->surface, surface->user, surface->eavesdropper;
+per link the rays come one at a time, and each ray draws its gain from two
+scalar standard normals, then three angles uniform on [-pi/2, pi/2): the AP
+departure, the surface arrival and the surface departure. All three angles
+are drawn even for a surface->receiver link, which uses only the last. There
+is no hidden global state, so identical seeds give bit-identical channels.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ChannelSet, SystemConfig
 
-__all__ = [
-    "PathParams",
-    "pathloss_db",
-    "linear_path_gain",
-    "steering_vector",
-    "draw_path_params",
-    "gen_channels",
-]
+__all__ = ["pathloss_db", "linear_path_gain", "steering_vector", "gen_channels"]
 
 _HALF_PI = np.pi / 2.0
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """One ray: complex small-scale gain plus departure/arrival angles (rad)."""
-
-    gain: complex
-    aod_ap: float     # departure at the access point
-    aoa_irs: float    # arrival at the surface
-    aod_irs: float    # departure at the surface
-
-    def __post_init__(self):
-        for name in ("aod_ap", "aoa_irs", "aod_irs"):
-            ang = float(getattr(self, name))
-            if not (-_HALF_PI <= ang < _HALF_PI):
-                raise ValueError(f"{name} must lie in [-pi/2, pi/2)")
-        if not np.isfinite(self.gain):
-            raise ValueError("gain must be finite")
 
 
 def pathloss_db(distance: float, cfg: SystemConfig) -> float:
@@ -67,56 +45,39 @@ def steering_vector(n: int, angle: float) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(n) * np.sin(angle))
 
 
-def draw_path_params(rng: np.random.Generator) -> PathParams:
-    """Draw one ray: CN(0, 1) gain, angles uniform on [-pi/2, pi/2)."""
-    gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    aod_ap, aoa_irs, aod_irs = rng.uniform(-_HALF_PI, _HALF_PI, size=3)
-    return PathParams(gain=gain, aod_ap=aod_ap, aoa_irs=aoa_irs, aod_irs=aod_irs)
-
-
-def _ray_sum_matrix(paths, n_rx: int, n_tx: int) -> np.ndarray:
-    total = np.zeros((n_rx, n_tx), dtype=complex)
-    for p in paths:
-        total += p.gain * np.outer(steering_vector(n_rx, p.aoa_irs),
-                                   steering_vector(n_tx, p.aod_ap))
-    return total
-
-
-def _ray_sum_vector(paths, n_rx: int) -> np.ndarray:
-    total = np.zeros(n_rx, dtype=complex)
-    for p in paths:
-        total += p.gain * steering_vector(n_rx, p.aod_irs)
-    return total
+def _link(rng, n_paths, distance, cfg, n_rx, n_tx=None) -> np.ndarray:
+    """Draw one link's rays and sum them, one ray at a time: gain *
+    a_rx(surface arrival) a_tx(AP departure)^T for the (n_rx, n_tx) AP->surface
+    matrix, or gain * a_rx(surface departure) for a surface->receiver vector
+    (n_tx None). The sum is scaled by sqrt(linear_path_gain(distance) / n_paths)."""
+    total = np.zeros((n_rx,) if n_tx is None else (n_rx, n_tx), dtype=complex)
+    for _ in range(n_paths):
+        gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
+        aod_ap, aoa_irs, aod_irs = rng.uniform(-_HALF_PI, _HALF_PI, size=3)
+        if n_tx is None:
+            total += gain * steering_vector(n_rx, aod_irs)
+        else:
+            total += gain * np.outer(steering_vector(n_rx, aoa_irs),
+                                     steering_vector(n_tx, aod_ap))
+    return np.sqrt(linear_path_gain(distance, cfg) / n_paths) * total
 
 
 def gen_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSet:
     """Synthesize one channel realization for every surface.
 
-    Per surface l: G_l = sqrt(rho_1 / L_1) * sum_p gain_p * a_r(aoa_p) a_t(aod_p)^T
-    over the AP->surface distance, and h_l / g_l are the analogous single
-    steering-vector sums over the surface->user / surface->eavesdropper
-    distances. Draw order is fixed (per surface: AP rays, then user rays,
-    then eavesdropper rays), which pins the determinism contract.
+    Per surface l, in this order: G_l = sqrt(rho / P) * sum_p gain_p
+    a_r(aoa_p) a_t(aod_p)^T over the P AP->surface rays (rho the linear gain
+    at that distance), then h_l and g_l, the analogous steering-vector sums
+    over the surface->user and then the surface->eavesdropper rays. Each ray
+    draws its gain, then its three angles; this order pins the determinism
+    contract.
     """
-    n_tx, n_refl, n_irs = cfg.n_tx, cfg.n_refl, cfg.n_irs
-    g_ap_irs = np.zeros((n_irs, n_refl, n_tx), dtype=complex)
-    h_irs_user = np.zeros((n_irs, n_refl), dtype=complex)
-    g_irs_eve = np.zeros((n_irs, n_refl), dtype=complex)
-    for l in range(n_irs):
-        pos = cfg.irs_positions[l]
-        d_ap = float(np.linalg.norm(pos - cfg.ap_position))
-        d_user = float(np.linalg.norm(cfg.user_position - pos))
-        d_eve = float(np.linalg.norm(cfg.eve_position - pos))
-
-        rays = [draw_path_params(rng) for _ in range(cfg.paths_ap_irs)]
-        scale = np.sqrt(linear_path_gain(d_ap, cfg) / cfg.paths_ap_irs)
-        g_ap_irs[l] = scale * _ray_sum_matrix(rays, n_refl, n_tx)
-
-        rays = [draw_path_params(rng) for _ in range(cfg.paths_irs_user)]
-        scale = np.sqrt(linear_path_gain(d_user, cfg) / cfg.paths_irs_user)
-        h_irs_user[l] = scale * _ray_sum_vector(rays, n_refl)
-
-        rays = [draw_path_params(rng) for _ in range(cfg.paths_irs_eve)]
-        scale = np.sqrt(linear_path_gain(d_eve, cfg) / cfg.paths_irs_eve)
-        g_irs_eve[l] = scale * _ray_sum_vector(rays, n_refl)
-    return ChannelSet(g_ap_irs=g_ap_irs, h_irs_user=h_irs_user, g_irs_eve=g_irs_eve)
+    g_ap_irs, h_irs_user, g_irs_eve = [], [], []
+    for pos in cfg.irs_positions:
+        d_ap, d_user, d_eve = (np.linalg.norm(pos - end) for end in (
+            cfg.ap_position, cfg.user_position, cfg.eve_position))
+        g_ap_irs.append(_link(rng, cfg.paths_ap_irs, d_ap, cfg, cfg.n_refl, cfg.n_tx))
+        h_irs_user.append(_link(rng, cfg.paths_irs_user, d_user, cfg, cfg.n_refl))
+        g_irs_eve.append(_link(rng, cfg.paths_irs_eve, d_eve, cfg, cfg.n_refl))
+    return ChannelSet(g_ap_irs=np.array(g_ap_irs), h_irs_user=np.array(h_irs_user),
+                      g_irs_eve=np.array(g_irs_eve))

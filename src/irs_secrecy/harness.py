@@ -2,6 +2,7 @@
 
 Experiments
     convergence    per-round secrecy-rate trace of the alternating optimizer
+                   (ao-multi-irs, or single-irs; the baselines have no trace)
     power_sweep    average secrecy rate versus transmit power (dBm grid)
     element_sweep  average secrecy rate versus per-surface element count
 
@@ -37,7 +38,7 @@ import numpy as np
 from .ao import ao_solve, matched_filter
 from .channel_gen import gen_channels
 from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
-                    secrecy_rate)
+                    _real, secrecy_rate)
 
 __all__ = [
     "ExperimentRecord",
@@ -94,13 +95,17 @@ _DBM_KEYS = {"noise_user_dbm": "noise_user", "noise_eve_dbm": "noise_eve",
 
 def load_config(path: str | None):
     """Build (SystemConfig, sweeps) from a JSON file; missing keys keep the
-    built-in defaults and unknown keys are rejected. Power-like entries are
-    given in dBm in the file and converted to watts here, at the boundary.
-    The sweep grids are checked by run_experiment."""
+    built-in defaults and unknown keys are rejected. The file must hold a
+    JSON object. Power-like entries are given in dBm in the file and
+    converted to watts here, at the boundary; like every real-valued field
+    they must be JSON numbers. The sweep grids are checked by run_experiment."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file must hold a JSON object, "
+                             f"got {type(raw).__name__}")
     sweeps = default_sweeps()
     unknown = sorted(set(raw) - set(_CONFIG_KEYS) - set(_DBM_KEYS) - set(sweeps))
     if unknown:
@@ -108,7 +113,7 @@ def load_config(path: str | None):
     kwargs = {key: raw[key] for key in _CONFIG_KEYS if key in raw}
     for key, name in _DBM_KEYS.items():
         if key in raw:
-            kwargs[name] = dbm_to_watt(raw[key])
+            kwargs[name] = dbm_to_watt(_real(raw[key], key))
     cfg = SystemConfig(**kwargs)
     for key in sweeps:
         if key in raw:
@@ -161,48 +166,38 @@ def _stream(master_seed: int, trial: int, tag: int) -> np.random.Generator:
 
 def _run_scheme(scheme, cfg, master_seed, trial):
     """Solve one scheme of SCHEMES (run_experiment rejects the rest) on
-    freshly derived per-trial channels; returns (secrecy_rate, rounds)."""
+    freshly derived per-trial channels; returns the secrecy-rate trace, one
+    entry per AO round after the warm start (a baseline has the one entry)."""
     if scheme == "single-irs":
         cfg = consolidate_single_irs(cfg)
     ch = gen_channels(cfg, _stream(master_seed, trial, 0))
     if scheme == "mrt":
-        return secrecy_rate(ch, mrt_baseline(ch, cfg), cfg), 0
+        return [secrecy_rate(ch, mrt_baseline(ch, cfg), cfg)]
     if scheme == "random-bf":
         rng = _stream(master_seed, trial, 100 + _SCHEME_IDS[scheme])
-        return secrecy_rate(ch, random_baseline(ch, cfg, rng), cfg), 0
-    _, trace = ao_solve(ch, cfg)      # ao-multi-irs and single-irs
-    return float(trace[-1]), len(trace) - 1
+        return [secrecy_rate(ch, random_baseline(ch, cfg, rng), cfg)]
+    return ao_solve(ch, cfg)[1]       # ao-multi-irs and single-irs
 
 
 def _sweep_task(args):
-    """One (sweep point, trial) unit of work; top level so it pickles."""
+    """One (sweep point, trial) unit of work; top level so it pickles. The
+    "round" sweep of the convergence experiment writes one row per trace
+    entry, every other sweep one row per scheme with the final rate."""
     cfg, schemes, sweep_name, sweep_value, trial, master_seed, timing = args
     records = []
     base_seed = _trial_base_seed(master_seed, trial)
     for scheme in schemes:
         start = time.perf_counter()
-        rate, rounds = _run_scheme(scheme, cfg, master_seed, trial)
+        trace = _run_scheme(scheme, cfg, master_seed, trial)
         elapsed = (time.perf_counter() - start) * 1000.0
-        records.append(ExperimentRecord(
+        points = (enumerate(trace) if sweep_name == "round"
+                  else [(sweep_value, trace[-1])])
+        records.extend(ExperimentRecord(
             trial=trial, scheme=scheme, sweep_name=sweep_name,
-            sweep_value=sweep_value, secrecy_rate=rate, rounds=rounds,
-            runtime_ms=elapsed if timing else 0.0, seed=base_seed))
+            sweep_value=float(value), secrecy_rate=float(rate),
+            rounds=len(trace) - 1, runtime_ms=elapsed if timing else 0.0,
+            seed=base_seed) for value, rate in points)
     return records
-
-
-def _convergence_task(args):
-    cfg, trial, master_seed, timing = args
-    ch = gen_channels(cfg, _stream(master_seed, trial, 0))
-    start = time.perf_counter()
-    _, trace = ao_solve(ch, cfg)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    base_seed = _trial_base_seed(master_seed, trial)
-    rounds = len(trace) - 1
-    return [ExperimentRecord(
-        trial=trial, scheme="ao-multi-irs", sweep_name="round",
-        sweep_value=float(k), secrecy_rate=float(trace[k]), rounds=rounds,
-        runtime_ms=elapsed if timing else 0.0, seed=base_seed)
-        for k in range(len(trace))]
 
 
 def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
@@ -213,19 +208,25 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
 
     Results are a pure function of (cfg, experiment, trials, sweeps,
     master_seed, schemes): identical inputs give byte-identical CSVs at any
-    worker count (with timing off). The convergence experiment always traces
-    the alternating optimizer; the baselines are one-shot and have no trace
-    to record. Every sweep grid must be a list of numbers, and master_seed a
-    seed that SystemConfig accepts. A sweep experiment rejects an empty grid
-    and a grid that repeats a value; element_sweep also rejects a
-    non-integral count.
+    worker count (with timing off). The convergence experiment writes one row
+    per AO round of each scheme: ao-multi-irs by default, single-irs on its
+    consolidated surface; mrt and random-bf are one-shot, have no trace and
+    are rejected there. trials and workers must be positive integers (not
+    bool), sweeps may hold only the keys of default_sweeps(), every sweep grid
+    must be a list of numbers, and master_seed a seed that SystemConfig
+    accepts. A sweep experiment rejects an empty grid and a grid that repeats
+    a value; element_sweep also rejects a non-integral count.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    for name, value in (("trials", trials), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    unknown = sorted(set(sweeps or {}) - set(default_sweeps()))
+    if unknown:
+        raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
     sweeps = {**default_sweeps(), **(sweeps or {})}
     for key, grid in sweeps.items():
         if not (isinstance(grid, (list, tuple, np.ndarray)) and all(
@@ -240,10 +241,13 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+        if experiment == "convergence" and scheme in ("mrt", "random-bf"):
+            raise ValueError(f"convergence traces the alternating optimizer; "
+                             f"scheme {scheme!r} has no trace")
 
     if experiment == "convergence":
-        task_fn = _convergence_task
-        tasks = [(cfg, t, master_seed, timing) for t in range(trials)]
+        tasks = [(cfg, schemes, "round", None, t, master_seed, timing)
+                 for t in range(trials)]
     else:
         key = "power_sweep_dbm" if experiment == "power_sweep" else "element_sweep"
         grid = [float(v) for v in sweeps[key]]
@@ -253,7 +257,6 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             raise ValueError(f"{key} repeats a value")
         if key == "element_sweep" and not all(m.is_integer() for m in grid):
             raise ValueError(f"{key} values must be integers")
-        task_fn = _sweep_task
         if experiment == "power_sweep":
             tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,
                       "power_dbm", p, t, master_seed, timing)
@@ -265,10 +268,10 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task_fn, tasks,
+            chunks = list(pool.map(_sweep_task, tasks,
                                    chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        chunks = [task_fn(task) for task in tasks]
+        chunks = [_sweep_task(task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.trial, r.scheme, r.sweep_name, r.sweep_value))
 

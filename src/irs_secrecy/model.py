@@ -40,21 +40,28 @@ MODULUS_TOL = 1e-9
 LN2 = math.log(2.0)
 
 
+def _real(value, name: str, shape: tuple = ()):
+    """value as a float (shape ()) or as a float array of the given shape.
+
+    The one check of every real-valued input: a wrong shape, a bool, a str or
+    any other non-number, and a non-finite value are refused with a
+    ValueError that names the field.
+    """
+    arr = np.asarray(value, dtype=object)  # keeps True apart from 1
+    if arr.shape != shape or not all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) for v in arr.flat):
+        what = "a real number" if shape == () else f"real numbers of shape {shape}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    real = arr.astype(float)
+    if not np.isfinite(real).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(real) if shape == () else real
+
+
 def dbm_to_watt(p_dbm: float) -> float:
     """Convert a power level in dB-milliwatts to watts: 10^((p_dbm - 30) / 10)."""
-    p = float(p_dbm)
-    if not np.isfinite(p):
-        raise ValueError(f"power level must be finite, got {p_dbm!r}")
-    return 10.0 ** ((p - 30.0) / 10.0)
-
-
-def _as_position(value) -> np.ndarray:
-    pos = np.asarray(value, dtype=float)
-    if pos.shape != (3,):
-        raise ValueError(f"position must be a 3-vector, got shape {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("position must be finite")
-    return pos
+    return 10.0 ** ((_real(p_dbm, "power level") - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -106,25 +113,17 @@ class SystemConfig:
             raise ValueError(f"n_irs must be <= {MAX_SURFACES} for exact on/off "
                              f"selection, got {self.n_irs}")
         for name in ("noise_user", "noise_eve", "power_budget"):
-            val = float(getattr(self, name))
-            if not (np.isfinite(val) and val > 0.0):
-                raise ValueError(f"{name} must be a positive finite power in watts")
+            val = _real(getattr(self, name), name)
+            if not val > 0.0:
+                raise ValueError(f"{name} must be a positive power in watts, "
+                                 f"got {val!r}")
             object.__setattr__(self, name, val)
-        if not np.isfinite(float(self.pathloss_ref_db)):
-            raise ValueError("pathloss_ref_db must be finite")
-        object.__setattr__(self, "pathloss_ref_db", float(self.pathloss_ref_db))
-        object.__setattr__(self, "pathloss_exponent", float(self.pathloss_exponent))
-        object.__setattr__(self, "ap_position", _as_position(self.ap_position))
-        object.__setattr__(self, "user_position", _as_position(self.user_position))
-        object.__setattr__(self, "eve_position", _as_position(self.eve_position))
-        irs = np.asarray(self.irs_positions, dtype=float)
-        if irs.shape != (self.n_irs, 3):
-            raise ValueError(
-                f"irs_positions must have shape ({self.n_irs}, 3), got {irs.shape}")
-        if not np.all(np.isfinite(irs)):
-            raise ValueError("irs_positions must be finite")
-        object.__setattr__(self, "irs_positions", irs)
-
+        for name in ("pathloss_exponent", "pathloss_ref_db"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("ap_position", "user_position", "eve_position"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, (3,)))
+        object.__setattr__(self, "irs_positions", _real(
+            self.irs_positions, "irs_positions", (self.n_irs, 3)))
 
 @dataclass(frozen=True)
 class ChannelSet:

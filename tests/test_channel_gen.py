@@ -1,12 +1,62 @@
+"""Channel synthesis tests.
+
+`TestPinnedChannels` compares seeded draws over five layouts with values in
+`tests/data/channel_pins.json`. Rewrite that file only for an accepted change
+of channels (it changes every answer downstream):
+
+    PYTHONPATH=src python tests/test_channel_gen.py
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from irs_secrecy.channel_gen import (PathParams, draw_path_params,
-                                     gen_channels, linear_path_gain,
+from irs_secrecy.channel_gen import (gen_channels, linear_path_gain,
                                      pathloss_db, steering_vector)
+from irs_secrecy.harness import consolidate_single_irs
 from irs_secrecy.model import SystemConfig
 
 from conftest import desk_config
+
+PINS = Path(__file__).resolve().parent / "data" / "channel_pins.json"
+PIN_SEEDS = (3, 2020)
+PIN_RTOL = 1e-12
+
+
+def pin_layouts() -> dict:
+    """Layout name -> config."""
+    base = SystemConfig()
+    row = np.column_stack([np.zeros(16), np.linspace(20.0, 60.0, 16),
+                           np.full(16, 20.0)])
+    return {
+        "reference": base,
+        "many_surfaces": replace(base, n_irs=16, n_refl=4, irs_positions=row),
+        "single_surface_48": consolidate_single_irs(base),
+        "one_antenna_one_element": replace(base, n_tx=1, n_refl=1),
+        "rays_1_2_5": replace(base, paths_ap_irs=1, paths_irs_user=2,
+                              paths_irs_eve=5),
+    }
+
+
+def channel_summary(ch) -> dict:
+    """Per channel array: its norm and the real and imaginary parts of one
+    projection that weighs every entry by a different phase."""
+    out = {}
+    for name in ("g_ap_irs", "h_irs_user", "g_irs_eve"):
+        flat = getattr(ch, name).ravel()
+        proj = np.sum(flat * np.exp(0.5j * np.arange(flat.size)))
+        out[name] = [float(np.linalg.norm(flat)), float(proj.real),
+                     float(proj.imag)]
+    return out
+
+
+def pinned_draws() -> dict:
+    return {f"{name}/{seed}": channel_summary(
+                gen_channels(cfg, np.random.default_rng(seed)))
+            for name, cfg in pin_layouts().items() for seed in PIN_SEEDS}
 
 
 class TestPathloss:
@@ -42,18 +92,6 @@ class TestSteeringVector:
         v = steering_vector(2, np.pi / 2)
         assert v[0] == pytest.approx(1.0)
         assert v[1] == pytest.approx(-1.0, abs=1e-12)
-
-
-class TestPathParams:
-    def test_angles_in_range(self, rng):
-        for _ in range(200):
-            p = draw_path_params(rng)
-            for ang in (p.aod_ap, p.aoa_irs, p.aod_irs):
-                assert -np.pi / 2 <= ang < np.pi / 2
-
-    def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValueError):
-            PathParams(gain=1.0 + 0j, aod_ap=np.pi, aoa_irs=0.0, aod_irs=0.0)
 
 
 class TestGenChannels:
@@ -104,3 +142,24 @@ class TestGenChannels:
         ch = gen_channels(cfg, rng)
         singulars = np.linalg.svd(ch.g_ap_irs[0], compute_uv=False)
         assert singulars[2] <= 1e-10 * singulars[0]
+
+
+class TestPinnedChannels:
+    def test_draws_match_pins(self):
+        # the draw order and arithmetic of every link: a swapped, skipped or
+        # reordered draw moves the norms and projections far past PIN_RTOL
+        pins = json.loads(PINS.read_text(encoding="utf-8"))
+        got = pinned_draws()
+        assert got.keys() == pins.keys()
+        for key, arrays in pins.items():
+            for name, (norm, real, imag) in arrays.items():
+                g_norm, g_real, g_imag = got[key][name]
+                shift = abs(complex(g_real, g_imag) - complex(real, imag))
+                assert abs(g_norm - norm) <= PIN_RTOL * norm, (key, name)
+                assert shift <= PIN_RTOL * norm, (key, name)
+
+
+if __name__ == "__main__":
+    with open(PINS, "w", encoding="utf-8") as fh:
+        json.dump(pinned_draws(), fh, indent=1)
+        fh.write("\n")

@@ -66,6 +66,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="colour, power_dBm"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("entry,name", [
+        ({"power_dbm": "25"}, "power_dbm"),
+        ({"noise_user_dbm": False}, "noise_user_dbm"),
+        ({"pathloss_exponent": True}, "pathloss_exponent"),
+        ({"pathloss_ref_db": "-60"}, "pathloss_ref_db"),
+        ({"user_position": [5, "40", 0]}, "user_position"),
+        ({"irs_positions": [[0, 20, 20], [0, 40, True], [0, 60, 20]]}, "irs_positions"),
+        ({"power_dbm": [25]}, "power_dbm"),
+    ])
+    def test_rejects_real_field_that_is_not_a_number(self, tmp_path, entry, name):
+        # each of these once loaded silently ("25" as 25 dBm, false as 0 dBm)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text,kind", [
+        ("null", "NoneType"), ("[1, 2]", "list"), ('"abc"', "str"), ("3", "int")])
+    def test_rejects_file_that_is_not_a_json_object(self, tmp_path, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"must hold a JSON object, got {kind}"):
+            load_config(str(path))
+
 
 class TestBaselines:
     def test_mrt_full_power_matched(self, rng):
@@ -185,6 +209,27 @@ class TestRunExperiment:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert records[-1].rounds == len(records) - 1
 
+    def test_convergence_traces_the_chosen_scheme(self):
+        # --scheme was once ignored here: single-irs wrote ao-multi-irs rows
+        cfg = small_cfg()
+        records = run_experiment(cfg, "convergence", trials=2, master_seed=11,
+                                 schemes=["single-irs"])
+        assert {r.scheme for r in records} == {"single-irs"}
+        single = consolidate_single_irs(cfg)
+        for trial in (0, 1):
+            ch = gen_channels(single, harness._stream(11, trial, 0))
+            _, trace = ao_solve(ch, single)
+            rows = [r for r in records if r.trial == trial]
+            assert [r.sweep_value for r in rows] == list(range(len(trace)))
+            assert [r.secrecy_rate for r in rows] == [float(v) for v in trace]
+            assert all(r.rounds == len(trace) - 1 for r in rows)
+
+    @pytest.mark.parametrize("scheme", ["mrt", "random-bf"])
+    def test_convergence_rejects_schemes_without_a_trace(self, scheme):
+        with pytest.raises(ValueError, match=f"scheme '{scheme}' has no trace"):
+            run_experiment(small_cfg(), "convergence", trials=1,
+                           schemes=["ao-multi-irs", scheme])
+
     def test_power_trend_on_average(self):
         # average AO secrecy rate grows with the power budget
         cfg = small_cfg()
@@ -214,6 +259,22 @@ class TestRunExperiment:
             run_experiment(cfg, "convergence", trials=0)
         with pytest.raises(ValueError):
             run_experiment(cfg, "convergence", trials=1, schemes=("bogus",))
+
+    @pytest.mark.parametrize("name,value", [
+        ("trials", True), ("trials", 2.0), ("workers", True), ("workers", 1.5),
+        ("workers", "2")])
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        # trials=True once ran one trial; trials=2.0 failed inside range()
+        counts = {"trials": 1, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_experiment(small_cfg(), "power_sweep", schemes=["mrt"],
+                           sweeps={"power_sweep_dbm": [30.0]}, **counts)
+
+    def test_rejects_unknown_sweep_key(self):
+        # a misspelled key once fell back to the default 9-point grid
+        with pytest.raises(ValueError, match="unknown sweep keys: power_dbm"):
+            run_experiment(small_cfg(), "power_sweep", 1,
+                           sweeps={"power_dbm": [30.0]}, schemes=["mrt"])
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_nonpositive_workers(self, workers):
@@ -300,6 +361,16 @@ class TestCli:
         assert code == 0
         body = out.read_text().strip().split("\n")[1:]
         assert all(line.split(",")[1] in ("mrt", "random-bf") for line in body)
+
+    def test_convergence_scheme_without_trace_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "convergence",
+                     "--trials", "1", "--out", str(out), "--scheme", "mrt,single-irs"])
+        assert code == 1
+        assert "scheme 'mrt' has no trace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exits_2(self, tmp_path):
         # argparse rejects unknown options, including the removed

@@ -20,7 +20,13 @@ class TestDbmToWatt:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power level must be finite"):
+            dbm_to_watt(bad)
+
+    @pytest.mark.parametrize("bad", ["25", True, np.bool_(False), None, [25.0]])
+    def test_rejects_non_numbers(self, bad):
+        # float() once read "25" as 25 dBm and True as 1 dBm
+        with pytest.raises(ValueError, match="power level must be a real number"):
             dbm_to_watt(bad)
 
 
@@ -201,6 +207,28 @@ class TestValidation:
         cfg = SystemConfig(n_tx=np.int64(4), n_refl=8.0, seed=np.float64(3.0))
         assert (cfg.n_tx, cfg.n_refl, cfg.seed) == (4, 8, 3)
         assert all(type(v) is int for v in (cfg.n_tx, cfg.n_refl, cfg.seed))
+
+    @pytest.mark.parametrize("name,value", [
+        ("noise_user", "1e-14"), ("power_budget", True), ("noise_eve", np.inf),
+        ("pathloss_exponent", True), ("pathloss_exponent", float("nan")),
+        ("pathloss_exponent", np.inf), ("pathloss_ref_db", "-60"),
+        ("pathloss_ref_db", [-60.0]), ("ap_position", [0, 0, False]),
+        ("user_position", [5, "40", 0]), ("eve_position", [5.0, np.nan, 0.0]),
+        ("eve_position", [5.0, 60.0]),
+        ("irs_positions", [[0, 20, 20], [0, 40, 20], [0, "60", 20]]),
+        ("irs_positions", [[0, 20, 20], [0, 40, 20], [0, 60]]),
+    ])
+    def test_config_rejects_real_field_that_is_not_a_finite_number(self, name, value):
+        # each of these was once converted by float() or accepted as is
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SystemConfig(**{name: value})
+
+    def test_config_keeps_real_fields_as_floats(self):
+        cfg = SystemConfig(noise_user=1, pathloss_exponent=np.float32(2.0),
+                           user_position=[5, 40, 0])
+        assert type(cfg.noise_user) is float and type(cfg.pathloss_exponent) is float
+        assert cfg.user_position.dtype == float
+        assert cfg.user_position.tolist() == [5.0, 40.0, 0.0]
 
     def test_config_rejects_wrong_irs_count(self):
         with pytest.raises(ValueError):
