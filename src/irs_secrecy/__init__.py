@@ -4,8 +4,8 @@ Library + CLI simulator that jointly optimizes per-surface on/off switching
 (exact enumeration of the rate ratio over all subset sums of the two arrays
 of per-surface amplitudes, to the user and to the eavesdropper) and
 unit-modulus phase shifts with the transmit beamformer
-(Riemannian conjugate-gradient ascent on the envelope over the closed-form
-beamformer), cycled by a safeguarded alternating-optimization
+(Riemannian L-BFGS ascent, in angle coordinates, on the envelope over the
+closed-form beamformer), cycled by a safeguarded alternating-optimization
 driver. The paper's beamformer solver, successive convex approximation, is
 kept public and certified against the closed form, off the production path.
 Every solver ships with an independent desk-scale oracle; for the on/off

@@ -12,11 +12,10 @@ feed nothing but the on/off block: the round has none.
 The phases are refined jointly with the beamformer because pure block
 cycling zigzags: the phase and beamformer blocks trade diminishing gains
 along a coupled valley and can take hundreds of rounds to settle. The
-refinement runs the conjugate-gradient ascent engine
-(`phases._riemannian_ascent`) on the envelope; by Danskin's argument the
-fixed-beamformer phase gradient at the matched beamformer is exactly the
-envelope gradient. A fixed-beamformer phase pass (`mo_ascend`) before it
-would only move the refine's start. A trial point costs one product with the
+refinement runs the L-BFGS ascent engine (`phases._riemannian_ascent`) on
+the envelope; by Danskin's argument the fixed-beamformer phase gradient at
+the matched beamformer is exactly the envelope gradient. A fixed-beamformer
+phase pass (`mo_ascend`) before it would only move the refine's start. A trial point costs one product with the
 stacked cascade rows of the switched-on elements, three inner products and a
 scalar root (`beamforming._pencil_rate`); the closed-form beamformer is built
 at accepted points only, where the gradient needs it.

@@ -38,7 +38,7 @@ import numpy as np
 from .ao import ao_solve, matched_filter
 from .channel_gen import gen_channels
 from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
-                    _real, secrecy_rate)
+                    secrecy_rate)
 
 __all__ = [
     "ExperimentRecord",
@@ -113,7 +113,7 @@ def load_config(path: str | None):
     kwargs = {key: raw[key] for key in _CONFIG_KEYS if key in raw}
     for key, name in _DBM_KEYS.items():
         if key in raw:
-            kwargs[name] = dbm_to_watt(_real(raw[key], key))
+            kwargs[name] = dbm_to_watt(raw[key], key)
     cfg = SystemConfig(**kwargs)
     for key in sweeps:
         if key in raw:
@@ -258,7 +258,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         if key == "element_sweep" and not all(m.is_integer() for m in grid):
             raise ValueError(f"{key} values must be integers")
         if experiment == "power_sweep":
-            tasks = [(replace(cfg, power_budget=dbm_to_watt(p)), schemes,
+            tasks = [(replace(cfg, power_budget=dbm_to_watt(p, key)), schemes,
                       "power_dbm", p, t, master_seed, timing)
                      for p in grid for t in range(trials)]
         else:

@@ -39,6 +39,9 @@ MODULUS_TOL = 1e-9
 
 LN2 = math.log(2.0)
 
+# Power levels dbm_to_watt accepts: 1e-307 to 1e308 W, normal float64 numbers.
+DBM_RANGE = (-3040.0, 3110.0)
+
 
 def _real(value, name: str, shape: tuple = ()):
     """value as a float (shape ()) or as a float array of the given shape.
@@ -59,9 +62,20 @@ def _real(value, name: str, shape: tuple = ()):
     return float(real) if shape == () else real
 
 
-def dbm_to_watt(p_dbm: float) -> float:
-    """Convert a power level in dB-milliwatts to watts: 10^((p_dbm - 30) / 10)."""
-    return 10.0 ** ((_real(p_dbm, "power level") - 30.0) / 10.0)
+def dbm_to_watt(p_dbm: float, name: str = "power level") -> float:
+    """Convert a power level in dB-milliwatts to watts: 10^((p_dbm - 30) / 10).
+
+    `name` is the field or key the level comes from. Besides what `_real`
+    refuses, a level outside DBM_RANGE is refused with a ValueError that
+    names it: far above, the watts overflow float64; far below, they lose
+    precision and then round to 0 W.
+    """
+    p_dbm = _real(p_dbm, name)
+    low, high = DBM_RANGE
+    if not low <= p_dbm <= high:
+        raise ValueError(f"{name} must lie between {low:g} and {high:g} dBm, "
+                         f"got {p_dbm!r}")
+    return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,14 @@ __all__ = [
 # rows per buffer, filled in place, so a call touches under 1 MB for any
 # L <= MAX_SURFACES.
 BLOCK_BITS = 13
+# The subset sums of both blocks and the work rows, kept across calls: the
+# low block's and the work rows, 256 KB each, sit above glibc's mmap
+# threshold, so fresh ones would be mapped and zero-filled again on every
+# call. dinkelbach_solve is therefore not thread-safe; the harness runs
+# trials in processes.
+_LO_SUMS = np.empty(4 << BLOCK_BITS)
+_HI_SUMS = np.empty(4 << (MAX_SURFACES - BLOCK_BITS))
+_WORK = np.empty(4 << BLOCK_BITS)
 
 
 def ratio_coefficients(ch: ChannelSet, sol: SolutionState):
@@ -69,13 +77,14 @@ def _amplitudes(v_user, v_eve):
     return pair
 
 
-def _subset_sums(rows, surfaces, n):
+def _subset_sums(rows, surfaces, n, buffer):
     """Sums of the real amplitude rows over every subset of `surfaces`, filled
-    in place by doubling (bit k of the index = k-th listed surface), with each
-    subset's tie-break key: active count * 2^n + sum of 2^(n-1-l) over its
-    surfaces l, so smaller keys have fewer active surfaces, then come first
-    lexicographically."""
-    sums = np.zeros((len(rows), 1 << len(surfaces)))
+    in place by doubling (bit k of the index = k-th listed surface) into the
+    front of the flat `buffer`, with each subset's tie-break key: active
+    count * 2^n + sum of 2^(n-1-l) over its surfaces l, so smaller keys have
+    fewer active surfaces, then come first lexicographically."""
+    sums = buffer[:len(rows) << len(surfaces)].reshape(len(rows), -1)
+    sums[:, 0] = 0.0
     key = np.zeros(1 << len(surfaces), dtype=np.int64)
     for k, l in enumerate(surfaces):
         np.add(sums[:, :1 << k], rows[:, l:l + 1], out=sums[:, 1 << k:2 << k])
@@ -99,10 +108,10 @@ def dinkelbach_solve(v_user, v_eve, cfg: SystemConfig):
     n = len(v_user)
     n_lo = min(n, BLOCK_BITS)
     rows = np.array([v_user.real, v_user.imag, v_eve.real, v_eve.imag])
-    lo, lo_key = _subset_sums(rows, range(n_lo), n)
-    hi, hi_key = _subset_sums(rows, range(n_lo, n), n)
+    lo, lo_key = _subset_sums(rows, range(n_lo), n, _LO_SUMS)
+    hi, hi_key = _subset_sums(rows, range(n_lo, n), n, _HI_SUMS)
     noise = np.array([[cfg.noise_user], [cfg.noise_eve]])
-    s = np.empty_like(lo)
+    s = _WORK[:lo.size].reshape(lo.shape)
     power, ratio = s[0::2], s[1]     # both receivers' 1 + |sum|^2/noise, then N/D
     best_ratio, best_key, best_code = -np.inf, 0, 0
     for j in range(len(hi_key)):

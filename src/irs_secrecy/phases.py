@@ -1,15 +1,18 @@
-"""Unit-modulus phase optimization by Riemannian gradient ascent.
+"""Unit-modulus phase optimization by Riemannian quasi-Newton ascent.
 
 For fixed beamformer and on/off pattern the objective reduces to two complex
 amplitudes, u = sum_k theta_k c_k (user) and e = sum_k theta_k d_k
 (eavesdropper), summed over the switched-on elements k, with c = R_u w and
 d = R_e w for the cascade rows R_u, R_e of the ChannelSet. The unclamped rate
 difference `model.gain_gap(|u|^2, |e|^2)` is ascended over the product of
-unit circles by Riemannian conjugate gradient: Wirtinger gradient, tangent
-projection (also the transport), Polak-Ribiere+ directions, renormalization
-as the retraction, Armijo backtracking. Switched-off surfaces have exactly
-zero gradient and their phases are held frozen. The gradient is a pair of
-arrays, (euclidean, riemannian): the Wirtinger gradient and its tangent part.
+unit circles by L-BFGS in the angle coordinates phi, theta = exp(i phi): the
+product of circles is then a flat torus, where the exponential map is exact
+and parallel transport is the identity, so the plain two-loop recursion is
+Riemannian L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 8; Huang, Gallivan &
+Absil 2015). Steps pass an Armijo backtracking test. Switched-off surfaces
+have exactly zero gradient and their phases are held frozen. The gradient is
+a pair of arrays, (euclidean, riemannian): the Wirtinger gradient and its
+tangent part.
 
 One ascent engine, with one stopping rule, serves two value functions:
 `mo_ascend` ascends the objective above with the beamformer held fixed, and
@@ -18,6 +21,8 @@ envelope over the closed-form beamformer, which it builds at accepted points
 only. Both hand the engine the per-element amplitudes (c, d) at accepted
 points.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -35,6 +40,8 @@ ARMIJO = 1e-4
 MAX_ITER = 2000
 TOL = 1e-12
 PATIENCE = 5
+MEMORY = 8          # L-BFGS curvature pairs
+FIRST_STEP = 0.1    # largest angle move (rad) of a step without curvature pairs
 
 
 def _active_stacks(ch: ChannelSet, sol: SolutionState):
@@ -49,11 +56,6 @@ def _objective(theta, c, d, cfg):
     return gain_gap(abs(np.sum(theta * c)) ** 2, abs(np.sum(theta * d)) ** 2, cfg)
 
 
-def _transport(theta, v):
-    """Tangent projection at theta, v - Re(v conj(theta)) theta."""
-    return v - np.real(v * np.conj(theta)) * theta
-
-
 def _tangent_gradient(theta, c, d, cfg):
     """Wirtinger gradient g = conj(k_u c - k_e d), k_u = conj(u) / (ln 2
     (s2 + |u|^2)) for u = theta . c and k_e likewise, and its tangent part
@@ -63,61 +65,82 @@ def _tangent_gradient(theta, c, d, cfg):
     k_u = u.conjugate() / (LN2 * (cfg.noise_user + abs(u) ** 2))
     k_e = e.conjugate() / (LN2 * (cfg.noise_eve + abs(e) ** 2))
     euclidean = np.conj(k_u * c - k_e * d)
-    return euclidean, _transport(theta, euclidean)
+    return euclidean, euclidean - np.real(euclidean * np.conj(theta)) * theta
+
+
+def _lbfgs_direction(r, pairs):
+    """Two-loop product H r of the angle gradient r with the L-BFGS inverse
+    Hessian of the pairs (s, y, 1 / s.y), oldest first, scaled by H0 =
+    s.y / y.y of the newest pair."""
+    q = r.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)   # Python floats: numpy scalars cost more
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
 
 
 def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
-    """Polak-Ribiere+ conjugate-gradient ascent on the product of circles.
+    """L-BFGS ascent on the product of circles, in angle coordinates.
 
     evaluate(theta) -> (value, state) is called at every trial point;
     amplitudes(state) -> (c, d) only at accepted points, for the gradient.
-    The direction d = xi + beta P(d_prev), with xi the tangent gradient, P
-    the transport `_transport` and beta = max(0, Re<xi - P(xi_prev), xi> /
-    ||xi_prev||^2), restarts at xi whenever Re<d, xi> <= 0. Trial steps are
-    retracted by elementwise renormalization and accepted only on sufficient
-    increase along the slope Re<d, xi> (Armijo), so the trace is
-    non-decreasing. The step doubles after each accepted step and halves on
-    each rejection. Stops once PATIENCE consecutive accepted steps improve
-    by less than TOL (a single small step can be an overshoot artifact of the
-    step-size warm start), at a stationary point (||xi||^2 <= 1e-20 ||g||^2:
-    a phase-invariant objective leaves a rounding-level tangent part xi of
-    the gradient g), when backtracking fails, or after MAX_ITER steps.
-    Returns (theta, state, trace).
+    With theta = exp(i phi) the product of circles is a flat torus, so the
+    plain L-BFGS two-loop recursion on phi is Riemannian L-BFGS. The angle
+    gradient is r = 2 Im(g conj(theta)) for the Wirtinger gradient g; the
+    direction is p = H r from the last MEMORY curvature pairs (s = accepted
+    angle step, y = r_prev - r, kept only when s.y > 0). With no pairs stored,
+    or when r.p <= 0 (the memory is then cleared), p is r scaled to move the
+    largest angle by FIRST_STEP radians, whatever the size of r. Trial points
+    theta exp(i t p) start at t = 1 and halve until the increase passes the
+    Armijo test along the slope r.p, so the trace is non-decreasing. Stops
+    once PATIENCE consecutive accepted steps improve by less than TOL (a
+    single small step can be an overshoot artifact), at a stationary point
+    (||xi||^2 <= 1e-20 ||g||^2 for the tangent part xi of g: a
+    phase-invariant objective leaves a rounding-level xi), when backtracking
+    fails, or after MAX_ITER steps. Returns (theta, state, trace).
     """
     value, state = evaluate(theta)
     trace = [value]
-    step = 1.0
     small_steps = 0
-    xi_prev = direction = None
+    pairs = deque(maxlen=MEMORY)
+    r_prev = None
     for _ in range(MAX_ITER):
         g, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
-        sq_norm = float(np.vdot(xi, xi).real)
-        if sq_norm <= max(1e-20 * np.vdot(g, g).real, 1e-300):
+        if np.vdot(xi, xi).real <= max(1e-20 * np.vdot(g, g).real, 1e-300):
             break
+        r = 2.0 * np.imag(g * np.conj(theta))
+        if r_prev is not None:
+            s, y = step * direction, r_prev - r
+            sy = float(s @ y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
         slope = 0.0
-        if direction is not None:
-            beta = max(0.0, np.vdot(xi - _transport(theta, xi_prev), xi).real
-                       / float(np.vdot(xi_prev, xi_prev).real))
-            direction = xi + beta * _transport(theta, direction)
-            slope = float(np.vdot(direction, xi).real)
+        if pairs:
+            direction = _lbfgs_direction(r, pairs)
+            slope = float(r @ direction)
         if slope <= 0.0:
-            direction, slope = xi, sq_norm
-        xi_prev = xi
-        accepted = False
+            pairs.clear()
+            direction = r * (FIRST_STEP / np.max(np.abs(r)))
+            slope = float(r @ direction)
+        r_prev = r
+        step = 1.0
         while step > 1e-18:
-            moved = theta + step * direction
-            trial = moved / np.abs(moved)
+            trial = theta * np.exp(1j * step * direction)
             trial_value, trial_state = evaluate(trial)
             if trial_value >= value + ARMIJO * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         delta = trial_value - value
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
-        step = min(step * 2.0, 1e6)
         small_steps = small_steps + 1 if delta < TOL else 0
         if small_steps >= PATIENCE:
             break

@@ -5,8 +5,10 @@ rate (repr), the number of AO rounds, the final on/off pattern and the refine
 evaluations: calls of the value function that `ao._joint_refine` hands to
 the ascent engine, one per trial point.
 A change that moves any answer by more than 1e-9 bits, or makes the refine
-spend more than 1.25x its pinned evaluations (a weaker conjugate-gradient
-direction rule, say), fails here.
+spend more than 1.25x its pinned evaluations (a weaker search direction,
+say), fails here. So does a refine that ends short of a stationary point:
+at a tangent gradient above STATIONARY times the gradient, or at the
+engine's step cap.
 
 Rewrite the pins only for an accepted change of answers, and report the
 change of every rate alongside it:
@@ -19,15 +21,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from irs_secrecy import ao, harness
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import dbm_to_watt
+from irs_secrecy.phases import MAX_ITER, _tangent_gradient
 
 PINS = Path(__file__).resolve().parent / "data" / "answer_pins.json"
 SEED = 4242
 RATE_TOL = 1e-9
 WORK_SLACK = 1.25
+STATIONARY = 1e-3
 
 
 def settings():
@@ -56,9 +61,10 @@ def settings():
     }
 
 
-def solve_counted(ch, cfg) -> dict:
-    """ao_solve's answer and the refine's evaluations."""
-    ascent, evals = ao._riemannian_ascent, 0
+def solve_counted(ch, cfg):
+    """ao_solve's answer and the refine's evaluations, and each refine's
+    (||xi|| / ||g||, accepted steps) at the point it returned."""
+    ascent, refine, evals, ends = ao._riemannian_ascent, ao._joint_refine, 0, []
 
     def counted_ascent(theta, evaluate, *args, **kwargs):
         def counted_evaluate(trial):
@@ -67,16 +73,25 @@ def solve_counted(ch, cfg) -> dict:
             return evaluate(trial)
         return ascent(theta, counted_evaluate, *args, **kwargs)
 
-    ao._riemannian_ascent = counted_ascent
+    def recorded_refine(ch, cfg, sol):
+        phases, w, trace = refine(ch, cfg, sol)
+        act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
+        g, xi = _tangent_gradient(phases[act], ch.cascade_user[act] @ w,
+                                  ch.cascade_eve[act] @ w, cfg)
+        ends.append((np.linalg.norm(xi) / np.linalg.norm(g), len(trace) - 1))
+        return phases, w, trace
+
+    ao._riemannian_ascent, ao._joint_refine = counted_ascent, recorded_refine
     try:
         sol, trace = ao.ao_solve(ch, cfg)
     finally:
-        ao._riemannian_ascent = ascent
+        ao._riemannian_ascent, ao._joint_refine = ascent, refine
     return {"rate": repr(float(trace[-1])), "rounds": len(trace) - 1,
-            "onoff": sol.onoff.tolist(), "refine_evals": evals}
+            "onoff": sol.onoff.tolist(), "refine_evals": evals}, ends
 
 
 def solve_all() -> dict:
+    """Instance key -> solve_counted's (pin, refine ends)."""
     answers = {}
     for name, (cfg, trials) in settings().items():
         for t in range(trials):
@@ -85,12 +100,16 @@ def solve_all() -> dict:
     return answers
 
 
-def test_answers_match_pins():
+@pytest.fixture(scope="module")
+def solved():
+    return solve_all()
+
+
+def test_answers_match_pins(solved):
     pins = json.loads(PINS.read_text())
-    answers = solve_all()
-    assert sorted(answers) == sorted(pins)
+    assert sorted(solved) == sorted(pins)
     moved = []
-    for key, got in answers.items():
+    for key, (got, _) in solved.items():
         pin = pins[key]
         if (abs(float(got["rate"]) - float(pin["rate"])) > RATE_TOL
                 or got["rounds"] != pin["rounds"] or got["onoff"] != pin["onoff"]
@@ -99,8 +118,17 @@ def test_answers_match_pins():
     assert not moved, "\n".join(moved)
 
 
+def test_every_refine_ends_stationary(solved):
+    short = [f"{key} refine {k}: ||xi||/||g|| = {ratio:.3g} after {steps} steps"
+             for key, (_, ends) in solved.items()
+             for k, (ratio, steps) in enumerate(ends)
+             if not (ratio <= STATIONARY and steps < MAX_ITER)]
+    assert not short, "\n".join(short)
+
+
 if __name__ == "__main__":
     PINS.parent.mkdir(exist_ok=True)
-    lines = [f" {json.dumps(key)}: {json.dumps(pin)}" for key, pin in solve_all().items()]
+    lines = [f" {json.dumps(key)}: {json.dumps(pin)}"
+             for key, (pin, _) in solve_all().items()]
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {PINS}")

@@ -82,6 +82,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("entry,name", [
+        ({"power_dbm": 4000}, "power_dbm"),
+        ({"noise_eve_dbm": -4000}, "noise_eve_dbm"),
+    ])
+    def test_rejects_dbm_level_outside_float64_watts(self, tmp_path, entry, name):
+        # 4000 dBm once exited with a bare OverflowError; -4000 dBm became
+        # 0 W and was blamed on the watt field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match=f"^{name} must lie between"):
+            load_config(str(path))
+
+    def test_rejects_sweep_power_outside_float64_watts(self):
+        with pytest.raises(ValueError, match="^power_sweep_dbm must lie between"):
+            run_experiment(small_cfg(), "power_sweep", 1, schemes=["mrt"],
+                           sweeps={"power_sweep_dbm": [30.0, 4000.0]})
+
     @pytest.mark.parametrize("text,kind", [
         ("null", "NoneType"), ("[1, 2]", "list"), ('"abc"', "str"), ("3", "int")])
     def test_rejects_file_that_is_not_a_json_object(self, tmp_path, text, kind):

@@ -29,6 +29,17 @@ class TestDbmToWatt:
         with pytest.raises(ValueError, match="power level must be a real number"):
             dbm_to_watt(bad)
 
+    @pytest.mark.parametrize("bad", [4000.0, -4000.0, 3110.5, -3040.5])
+    def test_rejects_levels_outside_float64_watts(self, bad):
+        # 4000 dBm once raised a bare OverflowError, -4000 dBm gave 0.0 W
+        with pytest.raises(ValueError, match="^power_dbm must lie between "
+                                             "-3040 and 3110 dBm"):
+            dbm_to_watt(bad, "power_dbm")
+
+    def test_range_ends_are_normal_floats(self):
+        assert dbm_to_watt(3110.0) == pytest.approx(1e308, rel=1e-12)
+        assert dbm_to_watt(-3040.0) == pytest.approx(1e-307, rel=1e-12)
+
 
 class TestEffectiveChannels:
     def test_all_off_gives_zero(self, rng):

@@ -5,8 +5,8 @@ import pytest
 
 from irs_secrecy import ao
 from irs_secrecy.model import SolutionState, rate_gap
-from irs_secrecy.phases import (ARMIJO, _riemannian_ascent, _tangent_gradient,
-                                _transport, mo_ascend, phase_grid_oracle,
+from irs_secrecy.phases import (ARMIJO, FIRST_STEP, _riemannian_ascent,
+                                _tangent_gradient, mo_ascend, phase_grid_oracle,
                                 phase_objective, phase_objective_gradient)
 
 from conftest import desk_config, random_channels, random_solution
@@ -162,30 +162,85 @@ class TestMoAscend:
             assert trace[-1] >= best - 1e-3
 
 
+def angle_gradient(theta, c, d, cfg):
+    g, _ = _tangent_gradient(theta, c, d, cfg)
+    return 2.0 * np.imag(g * np.conj(theta))
+
+
+def scripted_ascent(theta, values, amplitudes, cfg):
+    """Run the engine on scripted values (then -1.0 forever) and scripted
+    amplitudes; returns every trial point it evaluated, start first."""
+    values, points = iter(values), []
+
+    def evaluate(trial):
+        points.append(trial)
+        return next(values, -1.0), None
+
+    _riemannian_ascent(theta, evaluate, amplitudes, cfg)
+    return points
+
+
 class TestAscentEngine:
-    def test_armijo_test_runs_along_the_search_direction(self):
-        # Scripted values: the first trial is accepted, the first conjugate
-        # step (step 2) gains halfway between the Armijo thresholds along
-        # Re<d, xi> and along ||xi||^2, and every later trial loses. The
-        # engine must decide by Re<d, xi>.
+    def test_directions_are_the_lbfgs_product(self):
+        # Scripted amplitudes give a different gradient at each accepted
+        # point. The k-th trial must be theta_k exp(i p_k) with p_k = H_k r_k,
+        # H_k the BFGS inverse Hessian (built densely here) of the pairs
+        # s = p, y = r_prev - r from H0 = s.y / y.y of the newest pair, after
+        # a first step that moves the largest angle by FIRST_STEP. Scripted
+        # values accept the first four trials; the fifth gains halfway
+        # between the Armijo thresholds along r.p and along r.r, and the
+        # engine must decide by r.p.
         cfg = desk_config(noise_eve=0.5)
-        rng = np.random.default_rng(7)
-        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        rng = np.random.default_rng(11)
+        script = [(rng.standard_normal(6) + 1j * rng.standard_normal(6),
+                   rng.standard_normal(6) + 1j * rng.standard_normal(6))
+                  for _ in range(6)]
         theta0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
-        _, xi0 = _tangent_gradient(theta0, c, d, cfg)
-        theta1 = (theta0 + xi0) / np.abs(theta0 + xi0)
-        _, xi1 = _tangent_gradient(theta1, c, d, cfg)
-        beta = max(0.0, np.vdot(xi1 - _transport(theta1, xi0), xi1).real
-                   / np.vdot(xi0, xi0).real)
-        slope = np.vdot(xi1 + beta * _transport(theta1, xi0), xi1).real
-        sq_norm = np.vdot(xi1, xi1).real
-        assert slope > 0.0 and abs(slope - sq_norm) > 0.01 * sq_norm
-        values = iter([0.0, 1.0, 1.0 + ARMIJO * 2.0 * (slope + sq_norm) / 2.0])
-        _, _, trace = _riemannian_ascent(
-            theta0, lambda theta: (next(values, -1.0), None), lambda _: (c, d),
-            cfg)
-        assert len(trace) == (3 if slope < sq_norm else 2)
+        theta, expected = theta0, []
+        r = angle_gradient(theta, *script[0], cfg)
+        p = r * (FIRST_STEP / np.max(np.abs(r)))
+        pairs = []
+        for k in range(1, 5):
+            theta = theta * np.exp(1j * p)
+            expected.append(theta)
+            r_new = angle_gradient(theta, *script[k], cfg)
+            s, y = p, r - r_new
+            assert s @ y > 0.0      # every pair is kept on this script
+            pairs.append((s, y))
+            h = (s @ y) / (y @ y) * np.eye(6)
+            for s, y in pairs:
+                v = np.eye(6) - np.outer(s, y) / (s @ y)
+                h = v @ h @ v.T + np.outer(s, s) / (s @ y)
+            r, p = r_new, h @ r_new
+            assert r @ p > 0.0      # and no direction restarts
+        expected.append(theta * np.exp(1j * p))
+        slope, steepest = r @ p, r @ r
+        assert abs(slope - steepest) > 0.01 * steepest
+        amplitudes = iter(script)
+        points = scripted_ascent(
+            theta0, [0.0, 1.0, 2.0, 3.0, 4.0, 4.0 + ARMIJO * (slope + steepest) / 2.0],
+            lambda _: next(amplitudes), cfg)
+        np.testing.assert_allclose(points[1:6], expected, rtol=0.0, atol=1e-12)
+        halved = theta * np.exp(0.5j * p)
+        assert np.allclose(points[6], halved, rtol=0.0, atol=1e-12) == (slope > steepest)
+
+    def test_first_step_moves_the_largest_angle_by_a_fixed_amount(self):
+        # The gradients of the two instances differ by a factor of about 1e6;
+        # the first trial point moves the largest angle by FIRST_STEP in both.
+        cfg = desk_config(noise_eve=0.5)
+        rng = np.random.default_rng(5)
+        c = 3.0 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
+        largest = []
+        for scale in (1.0, 1e-3):
+            largest.append(np.max(np.abs(angle_gradient(theta, scale * c,
+                                                        scale * d, cfg))))
+            points = scripted_ascent(theta, [0.0], lambda _: (scale * c, scale * d),
+                                     cfg)
+            moved = np.angle(points[1] * np.conj(theta))
+            assert np.max(np.abs(moved)) == pytest.approx(FIRST_STEP, abs=1e-12)
+        assert largest[0] > 1.0 and largest[0] >= 1e4 * largest[1]
 
 
 class TestGlobalPhaseInvariance:
