@@ -15,10 +15,10 @@ along a coupled valley and can take hundreds of rounds to settle. The
 refinement runs the L-BFGS ascent engine (`phases._riemannian_ascent`) on
 the envelope; by Danskin's argument the fixed-beamformer phase gradient at
 the matched beamformer is exactly the envelope gradient. A fixed-beamformer
-phase pass (`mo_ascend`) before it would only move the refine's start. A trial point costs one product with the
-stacked cascade rows of the switched-on elements, three inner products and a
-scalar root (`beamforming._pencil_rate`); the closed-form beamformer is built
-at accepted points only, where the gradient needs it.
+phase pass (`mo_ascend`) before it would only move the refine's start. A
+trial point costs one product with the switched-on cascade rows, three inner
+products and a scalar root (`beamforming._pencil_rate`); the closed-form
+beamformer is built at accepted points only, where the gradient needs it.
 """
 
 import math
@@ -72,37 +72,35 @@ def user_aligned_state(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
 
 def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
     """Ascend the phases on the envelope max_w rate(theta, w). Returns
-    (phases, w, trace), with trace[-1] the rate difference that (phases, w)
-    achieves (at SNRs near 1e90 the float64 leakage of w keeps it lower).
+    (phases, w, trace): w is the closed-form beamformer at phases (zero, with
+    trace [0.0], when every surface is off), and trace[-1] the rate
+    difference (phases, w) achieve (at SNRs near 1e90 the float64 leakage of
+    w keeps it lower).
 
     On the switched-on elements' cascade rows R_u, R_e the effective pair at
-    phases theta is a = conj(theta @ R_u), b = conj(theta @ R_e); w and the
-    amplitudes c = R_u @ w, d = R_e @ w are built at accepted points only.
+    phases theta is a = conj(theta @ R_u), b = conj(theta @ R_e); w and
+    c = R_u @ w, d = R_e @ w are built wherever the ascent takes a gradient.
     """
     act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
-    phases = np.array(sol.phases, dtype=complex)
-    if len(act) == 0:
-        return phases, sol.beamformer, np.array([rate_gap(ch, sol, cfg)])
     n_tx, n_act = cfg.n_tx, len(act)
     rows = (ch.cascade_user[act], ch.cascade_eve[act])
     side, stack = np.hstack(rows), np.vstack(rows)
-    built = [None, None]  # the last (theta @ side, w) built
+    w = None
 
     def evaluate(theta):
         conj_ab = theta @ side
         return _pencil_rate(conj_ab[:n_tx], conj_ab[n_tx:], cfg), conj_ab
 
     def amplitudes(conj_ab):
+        nonlocal w
         ab = np.conj(conj_ab)
-        built[:] = conj_ab, gevd_oracle(ab[:n_tx], ab[n_tx:], cfg)[0]
-        cd = stack @ built[1]
+        w = gevd_oracle(ab[:n_tx], ab[n_tx:], cfg)[0]
+        cd = stack @ w
         return cd[:n_act], cd[n_act:]
 
-    phases[act], conj_ab, trace = _riemannian_ascent(
-        phases[act], evaluate, amplitudes, cfg)
-    if built[0] is not conj_ab:
-        amplitudes(conj_ab)
-    return phases, built[1], trace
+    phases = np.array(sol.phases, dtype=complex)
+    phases[act], trace = _riemannian_ascent(phases[act], evaluate, amplitudes, cfg)
+    return phases, w, trace
 
 
 def ao_solve(ch: ChannelSet, cfg: SystemConfig):

@@ -164,17 +164,18 @@ def _stream(master_seed: int, trial: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial, tag]))
 
 
-def _run_scheme(scheme, cfg, master_seed, trial):
+def _run_scheme(scheme, cfg, trial):
     """Solve one scheme of SCHEMES (run_experiment rejects the rest) on
-    freshly derived per-trial channels; returns the secrecy-rate trace, one
-    entry per AO round after the warm start (a baseline has the one entry)."""
+    channels freshly derived from the master seed cfg.seed for the trial;
+    returns the secrecy-rate trace, one entry per AO round after the warm
+    start (a baseline has the one entry)."""
     if scheme == "single-irs":
         cfg = consolidate_single_irs(cfg)
-    ch = gen_channels(cfg, _stream(master_seed, trial, 0))
+    ch = gen_channels(cfg, _stream(cfg.seed, trial, 0))
     if scheme == "mrt":
         return [secrecy_rate(ch, mrt_baseline(ch, cfg), cfg)]
     if scheme == "random-bf":
-        rng = _stream(master_seed, trial, 100 + _SCHEME_IDS[scheme])
+        rng = _stream(cfg.seed, trial, 100 + _SCHEME_IDS[scheme])
         return [secrecy_rate(ch, random_baseline(ch, cfg, rng), cfg)]
     return ao_solve(ch, cfg)[1]       # ao-multi-irs and single-irs
 
@@ -183,12 +184,12 @@ def _sweep_task(args):
     """One (sweep point, trial) unit of work; top level so it pickles. The
     "round" sweep of the convergence experiment writes one row per trace
     entry, every other sweep one row per scheme with the final rate."""
-    cfg, schemes, sweep_name, sweep_value, trial, master_seed, timing = args
+    cfg, schemes, sweep_name, sweep_value, trial, timing = args
     records = []
-    base_seed = _trial_base_seed(master_seed, trial)
+    base_seed = _trial_base_seed(cfg.seed, trial)
     for scheme in schemes:
         start = time.perf_counter()
-        trace = _run_scheme(scheme, cfg, master_seed, trial)
+        trace = _run_scheme(scheme, cfg, trial)
         elapsed = (time.perf_counter() - start) * 1000.0
         points = (enumerate(trace) if sweep_name == "round"
                   else [(sweep_value, trace[-1])])
@@ -235,7 +236,6 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
     if master_seed is not None:
         cfg = replace(cfg, seed=master_seed)
-    master_seed = cfg.seed
     schemes = tuple(schemes) if schemes else (
         ("ao-multi-irs",) if experiment == "convergence" else SCHEMES)
     for scheme in schemes:
@@ -246,7 +246,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
                              f"scheme {scheme!r} has no trace")
 
     if experiment == "convergence":
-        tasks = [(cfg, schemes, "round", None, t, master_seed, timing)
+        tasks = [(cfg, schemes, "round", None, t, timing)
                  for t in range(trials)]
     else:
         key = "power_sweep_dbm" if experiment == "power_sweep" else "element_sweep"
@@ -259,13 +259,15 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             raise ValueError(f"{key} values must be integers")
         if experiment == "power_sweep":
             tasks = [(replace(cfg, power_budget=dbm_to_watt(p, key)), schemes,
-                      "power_dbm", p, t, master_seed, timing)
+                      "power_dbm", p, t, timing)
                      for p in grid for t in range(trials)]
         else:
             tasks = [(replace(cfg, n_refl=int(m)), schemes,
-                      "n_refl", m, t, master_seed, timing)
+                      "n_refl", m, t, timing)
                      for m in grid for t in range(trials)]
 
+    # A fork-started pool launches all max_workers processes up front.
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_task, tasks,

@@ -11,15 +11,15 @@ and parallel transport is the identity, so the plain two-loop recursion is
 Riemannian L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 8; Huang, Gallivan &
 Absil 2015). Steps pass an Armijo backtracking test. Switched-off surfaces
 have exactly zero gradient and their phases are held frozen. The gradient is
-a pair of arrays, (euclidean, riemannian): the Wirtinger gradient and its
-tangent part.
+the Wirtinger gradient g alone; the angle gradient 2 Im(g conj(theta)) is the
+Riemannian gradient in angle coordinates.
 
 One ascent engine, with one stopping rule, serves two value functions:
 `mo_ascend` ascends the objective above with the beamformer held fixed, and
 the joint refinement in `ao` (the AO round's phase block) ascends its
 envelope over the closed-form beamformer, which it builds at accepted points
 only. Both hand the engine the per-element amplitudes (c, d) at accepted
-points.
+points, and the engine returns a point where it last asked for them.
 """
 
 from collections import deque
@@ -56,16 +56,14 @@ def _objective(theta, c, d, cfg):
     return gain_gap(abs(np.sum(theta * c)) ** 2, abs(np.sum(theta * d)) ** 2, cfg)
 
 
-def _tangent_gradient(theta, c, d, cfg):
+def _wirtinger_gradient(theta, c, d, cfg):
     """Wirtinger gradient g = conj(k_u c - k_e d), k_u = conj(u) / (ln 2
-    (s2 + |u|^2)) for u = theta . c and k_e likewise, and its tangent part
-    g - Re(g conj(theta)) theta. Returns (euclidean, riemannian)."""
+    (s2 + |u|^2)) for u = theta . c and k_e likewise."""
     u = complex(theta @ c)
     e = complex(theta @ d)
     k_u = u.conjugate() / (LN2 * (cfg.noise_user + abs(u) ** 2))
     k_e = e.conjugate() / (LN2 * (cfg.noise_eve + abs(e) ** 2))
-    euclidean = np.conj(k_u * c - k_e * d)
-    return euclidean, euclidean - np.real(euclidean * np.conj(theta)) * theta
+    return np.conj(k_u * c - k_e * d)
 
 
 def _lbfgs_direction(r, pairs):
@@ -89,32 +87,34 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
     """L-BFGS ascent on the product of circles, in angle coordinates.
 
     evaluate(theta) -> (value, state) is called at every trial point;
-    amplitudes(state) -> (c, d) only at accepted points, for the gradient.
-    With theta = exp(i phi) the product of circles is a flat torus, so the
-    plain L-BFGS two-loop recursion on phi is Riemannian L-BFGS. The angle
-    gradient is r = 2 Im(g conj(theta)) for the Wirtinger gradient g; the
-    direction is p = H r from the last MEMORY curvature pairs (s = accepted
-    angle step, y = r_prev - r, kept only when s.y > 0). With no pairs stored,
-    or when r.p <= 0 (the memory is then cleared), p is r scaled to move the
-    largest angle by FIRST_STEP radians, whatever the size of r. Trial points
-    theta exp(i t p) start at t = 1 and halve until the increase passes the
-    Armijo test along the slope r.p, so the trace is non-decreasing. Stops
-    once PATIENCE consecutive accepted steps improve by less than TOL (a
-    single small step can be an overshoot artifact), at a stationary point
-    (||xi||^2 <= 1e-20 ||g||^2 for the tangent part xi of g: a
-    phase-invariant objective leaves a rounding-level xi), when backtracking
-    fails, or after MAX_ITER steps. Returns (theta, state, trace).
+    amplitudes(state) -> (c, d) at the start and at accepted points, for the
+    gradient. With theta = exp(i phi) the product of circles is a flat torus,
+    so the plain L-BFGS two-loop recursion on phi is Riemannian L-BFGS. The
+    angle gradient is r = 2 Im(g conj(theta)) for the Wirtinger gradient g
+    (|r|/2 is the size of its tangent part); the direction is p = H r from the
+    last MEMORY curvature pairs (s = accepted angle step, y = r_prev - r, kept
+    only when s.y > 0). With no pairs stored, or when r.p <= 0 (the memory is
+    then cleared), p is r scaled to move the largest angle by FIRST_STEP
+    radians, whatever the size of r. Trial points theta exp(i t p) start at
+    t = 1 and halve until the increase passes the Armijo test along the slope
+    r.p, so the trace is non-decreasing. Every stop but a failed backtracking
+    search is tested right after the gradient: a stationary point
+    (||r||^2 <= 4e-20 ||g||^2; a phase-invariant objective leaves a
+    rounding-level r), PATIENCE consecutive steps that each gained less than
+    TOL (one small step can be an overshoot artifact), or MAX_ITER steps.
+    Returns (theta, trace); the last amplitudes call received theta.
     """
     value, state = evaluate(theta)
     trace = [value]
     small_steps = 0
     pairs = deque(maxlen=MEMORY)
     r_prev = None
-    for _ in range(MAX_ITER):
-        g, xi = _tangent_gradient(theta, *amplitudes(state), cfg)
-        if np.vdot(xi, xi).real <= max(1e-20 * np.vdot(g, g).real, 1e-300):
-            break
+    while True:
+        g = _wirtinger_gradient(theta, *amplitudes(state), cfg)
         r = 2.0 * np.imag(g * np.conj(theta))
+        if (float(r @ r) <= 4.0 * max(1e-20 * np.vdot(g, g).real, 1e-300)
+                or small_steps >= PATIENCE or len(trace) > MAX_ITER):
+            break
         if r_prev is not None:
             s, y = step * direction, r_prev - r
             sy = float(s @ y)
@@ -138,13 +138,10 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
             step *= 0.5
         else:
             break
-        delta = trial_value - value
+        small_steps = small_steps + 1 if trial_value - value < TOL else 0
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
-        small_steps = small_steps + 1 if delta < TOL else 0
-        if small_steps >= PATIENCE:
-            break
-    return theta, state, np.asarray(trace)
+    return theta, np.asarray(trace)
 
 
 def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
@@ -156,15 +153,15 @@ def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
 
 
 def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
-                             cfg: SystemConfig):
-    """Wirtinger gradient of the phase objective (w.r.t. the conjugate
-    phases) and its tangent projection onto the product of circles, returned
-    as (euclidean, riemannian); both are zero on the switched-off surfaces."""
+                             cfg: SystemConfig) -> np.ndarray:
+    """Wirtinger gradient g of the phase objective (w.r.t. the conjugate
+    phases), zero on the switched-off surfaces. The angle gradient is
+    2 Im(g conj(theta)); at the closed-form beamformer of the phases it is
+    also the gradient of the envelope max_w rate (Danskin)."""
     c, d, act = _active_stacks(ch, sol)
-    euclidean = np.zeros(len(sol.phases), dtype=complex)
-    riemannian = np.zeros(len(sol.phases), dtype=complex)
-    euclidean[act], riemannian[act] = _tangent_gradient(sol.phases[act], c, d, cfg)
-    return euclidean, riemannian
+    g = np.zeros(len(sol.phases), dtype=complex)
+    g[act] = _wirtinger_gradient(sol.phases[act], c, d, cfg)
+    return g
 
 
 def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
@@ -176,7 +173,7 @@ def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
     """
     c, d, act = _active_stacks(ch, sol)
     phases = np.array(sol.phases, dtype=complex)
-    phases[act], _, trace = _riemannian_ascent(
+    phases[act], trace = _riemannian_ascent(
         phases[act], lambda theta: (_objective(theta, c, d, cfg), None),
         lambda _: (c, d), cfg)
     return phases, trace

@@ -98,7 +98,7 @@ def test_criterion_3_gradient_matches_finite_differences():
                           noise_eve=float(10.0 ** rng.uniform(-0.3, 0.3)))
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg, all_on=False)
-        euclidean, _ = phase_objective_gradient(ch, sol, cfg)
+        euclidean = phase_objective_gradient(ch, sol, cfg)
         analytic = 2.0 * np.imag(euclidean * np.conj(sol.phases))
         angles = np.angle(sol.phases)
         numeric = np.zeros(len(angles))

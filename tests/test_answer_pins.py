@@ -7,8 +7,8 @@ the ascent engine, one per trial point.
 A change that moves any answer by more than 1e-9 bits, or makes the refine
 spend more than 1.25x its pinned evaluations (a weaker search direction,
 say), fails here. So does a refine that ends short of a stationary point:
-at a tangent gradient above STATIONARY times the gradient, or at the
-engine's step cap.
+at a tangent gradient (half the angle gradient) above STATIONARY times the
+Wirtinger gradient, or at the engine's step cap.
 
 Rewrite the pins only for an accepted change of answers, and report the
 change of every rate alongside it:
@@ -26,7 +26,7 @@ import pytest
 from irs_secrecy import ao, harness
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import dbm_to_watt
-from irs_secrecy.phases import MAX_ITER, _tangent_gradient
+from irs_secrecy.phases import MAX_ITER, phase_objective_gradient
 
 PINS = Path(__file__).resolve().parent / "data" / "answer_pins.json"
 SEED = 4242
@@ -63,7 +63,8 @@ def settings():
 
 def solve_counted(ch, cfg):
     """ao_solve's answer and the refine's evaluations, and each refine's
-    (||xi|| / ||g||, accepted steps) at the point it returned."""
+    (||r|| / (2 ||g||), accepted steps) at the point it returned, for the
+    angle gradient r and the Wirtinger gradient g there."""
     ascent, refine, evals, ends = ao._riemannian_ascent, ao._joint_refine, 0, []
 
     def counted_ascent(theta, evaluate, *args, **kwargs):
@@ -75,10 +76,10 @@ def solve_counted(ch, cfg):
 
     def recorded_refine(ch, cfg, sol):
         phases, w, trace = refine(ch, cfg, sol)
-        act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
-        g, xi = _tangent_gradient(phases[act], ch.cascade_user[act] @ w,
-                                  ch.cascade_eve[act] @ w, cfg)
-        ends.append((np.linalg.norm(xi) / np.linalg.norm(g), len(trace) - 1))
+        g = phase_objective_gradient(
+            ch, replace(sol, phases=phases, beamformer=w), cfg)
+        r = 2.0 * np.imag(g * np.conj(phases))
+        ends.append((np.linalg.norm(r) / (2.0 * np.linalg.norm(g)), len(trace) - 1))
         return phases, w, trace
 
     ao._riemannian_ascent, ao._joint_refine = counted_ascent, recorded_refine
@@ -119,7 +120,7 @@ def test_answers_match_pins(solved):
 
 
 def test_every_refine_ends_stationary(solved):
-    short = [f"{key} refine {k}: ||xi||/||g|| = {ratio:.3g} after {steps} steps"
+    short = [f"{key} refine {k}: ||r||/(2||g||) = {ratio:.3g} after {steps} steps"
              for key, (_, ends) in solved.items()
              for k, (ratio, steps) in enumerate(ends)
              if not (ratio <= STATIONARY and steps < MAX_ITER)]

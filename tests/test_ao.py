@@ -10,9 +10,9 @@ from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
                                effective_channels, rate_gap, secrecy_rate)
 from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
-from irs_secrecy.phases import MAX_ITER, _tangent_gradient, mo_ascend
+from irs_secrecy.phases import MAX_ITER, mo_ascend, phase_objective_gradient
 
-from conftest import desk_config, random_channels
+from conftest import desk_config, random_channels, random_solution
 
 
 def joint_grid_reference(ch, cfg, resolution=360):
@@ -28,6 +28,23 @@ def joint_grid_reference(ch, cfg, resolution=360):
         gains = cfg.power_budget * np.sum(np.abs(eff) ** 2, axis=1)
         best = max(best, float(gains.max()))
     return np.log2(1.0 + best / cfg.noise_user)
+
+
+def whitened_pencil_rate(a, b, cfg):
+    """Envelope rate max_w log2((1 + |a^H w|^2/s2) / (1 + |b^H w|^2/s2e))
+    over ||w||^2 <= P for each row of (a, b), from the top eigenvalue of the
+    whitened pencil B^{-1/2} A B^{-1/2}, A = I + (P/s2) a a^H and B = I +
+    (P/s2e) b b^H. B is the identity plus rank one, so B^{-1/2} = I +
+    ((1 + (P/s2e) ||b||^2)^{-1/2} - 1) b b^H / ||b||^2."""
+    eye = np.eye(a.shape[1])
+    norm2_b = np.sum(np.abs(b) ** 2, axis=1)
+    shrink = (1.0 / np.sqrt(1.0 + cfg.power_budget * norm2_b / cfg.noise_eve)
+              - 1.0) / norm2_b
+    b_half = eye + shrink[:, None, None] * b[:, :, None] * np.conj(b)[:, None, :]
+    big_a = eye + (cfg.power_budget / cfg.noise_user) * (
+        a[:, :, None] * np.conj(a)[:, None, :])
+    top = np.linalg.eigvalsh(b_half @ big_a @ b_half)[:, -1]
+    return np.log2(np.maximum(top, 1.0))
 
 
 class TestWarmStart:
@@ -103,10 +120,11 @@ class TestAoSolve:
 class TestJointRefine:
     def test_ends_at_stationary_point(self):
         # Stopping by patience far from a stationary point leaves a tangent
-        # gradient of up to a third of the gradient on this batch; the
-        # refine must return a point where it is negligible, below the step
-        # cap. On the single surface at 0-10 dBm the gradient is ~1e-5: a
-        # first step that scales with it crawls to the cap there.
+        # gradient (half the angle gradient r) of up to a third of the
+        # Wirtinger gradient g on this batch; the refine must return a point
+        # where it is negligible, below the step cap. On the single surface
+        # at 0-10 dBm the gradient is ~1e-5: a first step that scales with it
+        # crawls to the cap there.
         base, _ = harness.load_config(None)
         single = harness.consolidate_single_irs(base)
         worst, steps = 0.0, 0
@@ -115,13 +133,45 @@ class TestJointRefine:
             cfg = replace(layout, power_budget=dbm_to_watt(power_dbm))
             for t in range(20):
                 ch = gen_channels(cfg, harness._stream(888, t, 0))
-                phases, w, trace = ao._joint_refine(ch, cfg,
-                                                    user_aligned_state(ch, cfg))
-                g, xi = _tangent_gradient(phases, ch.cascade_user @ w,
-                                          ch.cascade_eve @ w, cfg)
-                worst = max(worst, np.linalg.norm(xi) / np.linalg.norm(g))
+                start = user_aligned_state(ch, cfg)
+                phases, w, trace = ao._joint_refine(ch, cfg, start)
+                g = phase_objective_gradient(
+                    ch, replace(start, phases=phases, beamformer=w), cfg)
+                r = 2.0 * np.imag(g * np.conj(phases))
+                worst = max(worst, np.linalg.norm(r) / (2.0 * np.linalg.norm(g)))
                 steps = max(steps, len(trace) - 1)
         assert worst <= 1e-3 and steps < MAX_ITER
+
+    def test_every_surface_off_returns_the_zero_beamformer(self, rng):
+        cfg = desk_config(n_tx=3, n_refl=2, n_irs=2)
+        ch = random_channels(rng, cfg)
+        sol = replace(random_solution(rng, cfg), onoff=np.zeros(2, dtype=int))
+        phases, w, trace = ao._joint_refine(ch, cfg, sol)
+        assert np.array_equal(phases, sol.phases)
+        assert np.array_equal(w, np.zeros(cfg.n_tx, dtype=complex))
+        assert trace.tolist() == [0.0]
+
+    @pytest.mark.parametrize("n_refl,instances,resolution,seed",
+                             [(2, 20, 3600, 2101), (3, 6, 240, 2102)],
+                             ids=["K=2", "K=3"])
+    def test_matches_envelope_grid_with_eavesdropper(self, n_refl, instances,
+                                                     resolution, seed):
+        # One surface of K elements, started from the AO's warm start. The
+        # envelope is invariant to a common phase, so element 0 stays at
+        # phase 0 and the grid scans the other K - 1 relative phases.
+        rng = np.random.default_rng(seed)
+        ring = np.exp(2j * np.pi * np.arange(resolution) / resolution)
+        axes = np.meshgrid(*[ring] * (n_refl - 1), indexing="ij")
+        grid = np.column_stack([np.ones(resolution ** (n_refl - 1))]
+                               + [axis.ravel() for axis in axes])
+        for k in range(instances):
+            cfg = desk_config(n_tx=3, n_refl=n_refl, n_irs=1,
+                              noise_eve=float(10.0 ** rng.uniform(-0.3, 0.3)))
+            ch = random_channels(rng, cfg)
+            _, _, trace = ao._joint_refine(ch, cfg, user_aligned_state(ch, cfg))
+            best = whitened_pencil_rate(np.conj(grid @ ch.cascade_user),
+                                        np.conj(grid @ ch.cascade_eve), cfg).max()
+            assert trace[-1] >= best - 1e-3, f"instance {k}"
 
 
 class TestProperties:

@@ -217,6 +217,36 @@ class TestRunExperiment:
                            workers=workers)
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # A fork-started pool launches all max_workers processes up front. A
+        # stand-in pool records the size it is asked for and runs the tasks
+        # in this process, so no process is started here.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        kwargs = dict(sweeps={"power_sweep_dbm": [20.0]}, master_seed=5,
+                      schemes=["mrt"])
+        run_experiment(small_cfg(), "power_sweep", trials=1, workers=64, **kwargs)
+        assert sizes == []              # one task runs serially
+        pooled = run_experiment(small_cfg(), "power_sweep", trials=2, workers=64,
+                                **kwargs)
+        assert sizes == [2]
+        assert pooled == run_experiment(small_cfg(), "power_sweep", trials=2,
+                                        **kwargs)
+
     def test_convergence_rows_trace_rounds(self):
         cfg = small_cfg()
         records = run_experiment(cfg, "convergence", trials=1, master_seed=11)

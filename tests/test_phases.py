@@ -1,12 +1,14 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irs_secrecy import ao
+from irs_secrecy import phases as phases_module
 from irs_secrecy.model import SolutionState, rate_gap
-from irs_secrecy.phases import (ARMIJO, FIRST_STEP, _riemannian_ascent,
-                                _tangent_gradient, mo_ascend, phase_grid_oracle,
+from irs_secrecy.phases import (ARMIJO, FIRST_STEP, PATIENCE, _riemannian_ascent,
+                                _wirtinger_gradient, mo_ascend, phase_grid_oracle,
                                 phase_objective, phase_objective_gradient)
 
 from conftest import desk_config, random_channels, random_solution
@@ -52,8 +54,8 @@ class TestGradient:
         cfg = desk_config(n_tx=3, n_refl=1, n_irs=1)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
-        _, riemannian = phase_objective_gradient(ch, sol, cfg)
-        assert np.max(np.abs(riemannian)) < 1e-12
+        g = phase_objective_gradient(ch, sol, cfg)
+        assert np.max(np.abs(2.0 * np.imag(g * np.conj(sol.phases)))) < 1e-12
 
     def test_identical_channels_euclidean_zero(self, rng):
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=2,
@@ -62,8 +64,8 @@ class TestGradient:
         same = type(ch)(g_ap_irs=ch.g_ap_irs, h_irs_user=ch.h_irs_user,
                         g_irs_eve=ch.h_irs_user)
         sol = random_solution(rng, cfg)
-        euclidean, _ = phase_objective_gradient(same, sol, cfg)
-        assert np.max(np.abs(euclidean)) < 1e-12
+        g = phase_objective_gradient(same, sol, cfg)
+        assert np.max(np.abs(g)) < 1e-12
 
     def test_matches_finite_differences(self, rng):
         # angle-space derivative of the objective is 2 Im(g conj(theta))
@@ -72,21 +74,12 @@ class TestGradient:
                               noise_eve=float(10.0 ** rng.uniform(-0.3, 0.3)))
             ch = random_channels(rng, cfg)
             sol = random_solution(rng, cfg, all_on=False)
-            euclidean, _ = phase_objective_gradient(ch, sol, cfg)
-            analytic = 2.0 * np.imag(euclidean * np.conj(sol.phases))
+            g = phase_objective_gradient(ch, sol, cfg)
+            analytic = 2.0 * np.imag(g * np.conj(sol.phases))
             numeric = fd_angle_gradient(ch, sol, cfg)
             rel = (np.linalg.norm(numeric - analytic)
                    / max(np.linalg.norm(numeric), 1e-300))
             assert rel < 1e-6
-
-    def test_tangency(self, rng):
-        for _ in range(10):
-            cfg = desk_config(n_tx=3, n_refl=4, n_irs=2)
-            ch = random_channels(rng, cfg)
-            sol = random_solution(rng, cfg)
-            _, riemannian = phase_objective_gradient(ch, sol, cfg)
-            radial = np.real(riemannian * np.conj(sol.phases))
-            assert np.max(np.abs(radial)) < 1e-10
 
     def test_inactive_blocks_have_zero_gradient(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=3)
@@ -94,14 +87,14 @@ class TestGradient:
         sol = random_solution(rng, cfg)
         sol = SolutionState(beamformer=sol.beamformer, phases=sol.phases,
                             onoff=np.array([1, 0, 1]))
-        euclidean, _ = phase_objective_gradient(ch, sol, cfg)
-        assert np.all(euclidean[2:4] == 0.0)
+        g = phase_objective_gradient(ch, sol, cfg)
+        assert np.all(g[2:4] == 0.0)
 
 
 class TestMoAscend:
     @ASCENTS
     def test_stationary_start_returned_unchanged(self, rng, ascend):
-        # a single active element is objective-invariant: the tangent
+        # a single active element is objective-invariant: the angle
         # gradient is zero up to rounding, and no step may be taken
         cfg = desk_config(n_tx=3, n_refl=1, n_irs=1)
         for _ in range(200):
@@ -163,8 +156,7 @@ class TestMoAscend:
 
 
 def angle_gradient(theta, c, d, cfg):
-    g, _ = _tangent_gradient(theta, c, d, cfg)
-    return 2.0 * np.imag(g * np.conj(theta))
+    return 2.0 * np.imag(_wirtinger_gradient(theta, c, d, cfg) * np.conj(theta))
 
 
 def scripted_ascent(theta, values, amplitudes, cfg):
@@ -178,6 +170,25 @@ def scripted_ascent(theta, values, amplitudes, cfg):
 
     _riemannian_ascent(theta, evaluate, amplitudes, cfg)
     return points
+
+
+def rising_ascent(cfg, rise):
+    """Run the engine on fixed amplitudes with values that rise by `rise` at
+    every evaluation and the trial point itself as the state. Returns the
+    returned point, the trace and every state amplitudes() received."""
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
+    calls, seen = itertools.count(), []
+
+    def amplitudes(point):
+        seen.append(point)
+        return c, d
+
+    theta, trace = _riemannian_ascent(
+        theta, lambda trial: (rise * next(calls), trial), amplitudes, cfg)
+    return theta, trace, seen
 
 
 class TestAscentEngine:
@@ -241,6 +252,23 @@ class TestAscentEngine:
             moved = np.angle(points[1] * np.conj(theta))
             assert np.max(np.abs(moved)) == pytest.approx(FIRST_STEP, abs=1e-12)
         assert largest[0] > 1.0 and largest[0] >= 1e4 * largest[1]
+
+    # Every stop but a failed backtracking search comes right after a
+    # gradient, so amplitudes() is called once per accepted point, the
+    # returned point last: the joint refine's beamformer is built there.
+    def test_patience_stop_returns_where_the_last_gradient_was_taken(
+            self, monkeypatch):
+        monkeypatch.setattr(phases_module, "TOL", 1.0)   # every 0.5 gain is small
+        theta, trace, seen = rising_ascent(desk_config(noise_eve=0.5), 0.5)
+        assert len(trace) == PATIENCE + 1 == len(seen)
+        assert np.array_equal(seen[-1], theta)
+
+    def test_step_cap_stop_returns_where_the_last_gradient_was_taken(
+            self, monkeypatch):
+        monkeypatch.setattr(phases_module, "MAX_ITER", 3)
+        theta, trace, seen = rising_ascent(desk_config(noise_eve=0.5), 1.0)
+        assert len(trace) == 4 == len(seen)
+        assert np.array_equal(seen[-1], theta)
 
 
 class TestGlobalPhaseInvariance:
