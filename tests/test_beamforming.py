@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,14 @@ import pytest
 from irs_secrecy.beamforming import (LOG2E, _pencil_rate, gevd_oracle, sca_solve,
                                      sca_subproblem)
 from conftest import desk_config
+
+# sca_solve's answers on SCA_PIN_SEED's pencil_instances, 10 per class: rate
+# and converged flag. Rewrite them only for an accepted change of answers,
+# and report the change of every rate alongside it:
+#
+#     PYTHONPATH=src python tests/test_beamforming.py
+SCA_PINS = Path(__file__).resolve().parent / "data" / "sca_pins.json"
+SCA_PIN_SEED = 2010
 
 
 def pair_gap(a, b, w, cfg):
@@ -266,6 +276,28 @@ class TestScaSolve:
                 assert pair_gap(a, b, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
 
 
+def sca_pin_answers() -> dict:
+    """Instance key -> sca_solve's rate and converged flag."""
+    answers, per_class = {}, 10
+    cases = pencil_instances(np.random.default_rng(SCA_PIN_SEED), per_class)
+    for i, (kind, a, b, cfg) in enumerate(cases):
+        w, _, converged = sca_solve(a, b, cfg)
+        answers[f"{kind}/{i % per_class}"] = {
+            "rate": float(pair_gap(a, b, w, cfg)), "converged": bool(converged)}
+    return answers
+
+
+class TestScaPins:
+    def test_answers_match_pins(self):
+        pins = json.loads(SCA_PINS.read_text())
+        got = sca_pin_answers()
+        assert sorted(got) == sorted(pins)
+        moved = [f"{key}: {got[key]} != pin {pin}" for key, pin in pins.items()
+                 if abs(got[key]["rate"] - pin["rate"]) > 1e-9 * max(1.0, abs(pin["rate"]))
+                 or got[key]["converged"] != pin["converged"]]
+        assert not moved, "\n".join(moved)
+
+
 class TestGevdOracle:
     def test_orthogonal_channels(self, rng):
         cfg = desk_config(n_tx=4, power=2.0)
@@ -376,3 +408,11 @@ class TestOracleDominance:
             _, rate_ref = gevd_oracle(a, b, cfg)
             if converged:
                 assert rate_ref >= pair_gap(a, b, w, cfg) - 1e-9
+
+
+if __name__ == "__main__":
+    SCA_PINS.parent.mkdir(exist_ok=True)
+    lines = [f" {json.dumps(key)}: {json.dumps(pin)}"
+             for key, pin in sca_pin_answers().items()]
+    SCA_PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {SCA_PINS}")
