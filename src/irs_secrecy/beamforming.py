@@ -17,8 +17,8 @@ point takes as its first two arguments: maximize log2((1 + |a^H w|^2 / s2) /
 Because a a^H and b b^H are rank one, every optimal beamformer lives in
 span{a, b}. Both routes work on the same split of b into its part along a and
 the part b_p orthogonal to a (`_split`): the closed form reads its norms, and
-every SCA subproblem is solved exactly in the coordinates of the orthonormal
-basis (a/||a||, b_p/||b_p||), a 2x2 reduced matrix.
+every SCA subproblem is solved exactly by a search over one angle in the
+coordinates of the orthonormal basis (a/||a||, b_p/||b_p||).
 """
 
 import math
@@ -77,35 +77,6 @@ def _split(a: np.ndarray, b: np.ndarray):
     return norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp
 
 
-def _top_eigpair_2x2(h11: float, h12: complex, h22: float):
-    """Largest eigenvalue and unit eigenvector (a pair of Python complex
-    numbers) of [[h11, h12], [h12*, h22]]."""
-    mean = 0.5 * (h11 + h22)
-    diff = 0.5 * (h11 - h22)
-    rad = math.hypot(diff, abs(h12))
-    lam = mean + rad
-    scale = abs(h11) + abs(h22) + abs(h12)
-    if rad <= 1e-15 * max(scale, 1e-300):
-        return lam, (1.0 + 0.0j, 0.0j)
-    norm1 = math.hypot(abs(h12), lam - h11)
-    norm2 = math.hypot(lam - h22, abs(h12))
-    if norm1 >= norm2:
-        return lam, (h12 / norm1, (lam - h11) / norm1 + 0.0j)
-    return lam, ((lam - h22) / norm2 + 0.0j, h12.conjugate() / norm2)
-
-
-def _best_power(alpha: float, beta: float, sigma2: float, c_eve: float,
-                p_max: float) -> float:
-    """argmax over s in [0, p_max] of ln(1 + s*alpha/sigma2) - c_eve*beta*s."""
-    if alpha <= 0.0:
-        return 0.0
-    slope = c_eve * beta
-    if slope <= 0.0:
-        return p_max
-    s = 1.0 / slope - sigma2 / alpha
-    return min(max(s, 0.0), p_max)
-
-
 def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
                    q_anchor: float) -> ScaIterate:
     """Solve one convex subproblem exactly.
@@ -113,12 +84,22 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
     Maximizes (p - q) log2(e) subject to 1 + |a^H w|^2/s2 >= e^p, the
     linearized eavesdropper bound 1 + |b^H w|^2/s2e <= e^qa (1 + q - qa) and
     ||w||^2 <= P. At the optimum both rate constraints bind, so the problem
-    reduces to maximizing ln(1 + tA/s2) - e^{-qa} tB / s2e with
-    tA = |a^H w|^2, tB = |b^H w|^2. As a function of W = w w^H this is
-    concave, and its optimum is rank one inside span{a, b}: the direction is
-    the top eigenvector of a a^H / (s2 + tA) - c b b^H at the (unique)
-    consistent tA, found by bisection, and the power along it has a closed
-    form.
+    reduces to maximizing ln(1 + tA/s2) - c tB with tA = |a^H w|^2,
+    tB = |b^H w|^2 and c = e^{-qa}/s2e. As a function of W = w w^H this is
+    concave, and its optimum is rank one inside span{a, b} (Huang & Palomar,
+    IEEE TSP 2010).
+
+    One angle spans every candidate. In the basis (a/||a||, b_p/||b_p||),
+    a = (||a||, 0) and, up to the phase of b^H a, b = (b1, b2) with
+    b1 = |b^H a|/||a|| and b2 = ||b_p||. At a given user gain the best use of
+    the remaining power is to cancel leakage, so the optimum is
+    w = sqrt(P) (cos t, -sin t e^{i arg(b^H a)}) with t in [0, atan2(b1, b2)]:
+    user gain P ||a||^2 cos^2 t, leakage P (b1 cos t - b2 sin t)^2, which is
+    nulled at the upper end. With b2 = 0 the sin t part is power left unused,
+    so ||w||^2 = P cos^2 t covers every power level. The least leakage at a
+    given user gain is convex in that gain, so the objective is concave in
+    the gain, which falls monotonically in t: its slope in t changes sign
+    once, and sixty halvings of the interval find the root.
     """
     if not np.isfinite(q_anchor):
         raise ValueError("q_anchor must be finite")
@@ -132,52 +113,26 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
 
     w = np.zeros(len(a), dtype=complex)
     if norm2_a > 0.0:
-        # Coordinates in the basis (a/||a||, b_p/||b_p||): a = (||a||, 0) and
-        # b = (b1, b2) = (conj(b^H a)/||a||, ||b_p||); the span is
-        # one-dimensional when b_p = 0.
         norm_a = math.sqrt(norm2_a)
-        b1 = b_dot_a.conjugate() / norm_a
+        b1 = abs(b_dot_a) / norm_a
         b2 = math.sqrt(norm2_perp)
-        bb11, bb12 = abs(b1) ** 2, b1 * b2
-
-        def top_dir(t_a):
-            # Top eigenvector of a a^H / (s2 + t_a) - c b b^H.
-            rho = 1.0 / (sigma2 + t_a)
-            h11 = rho * norm2_a - c_eve * bb11
-            if b2 == 0.0:
-                return h11, (1.0 + 0.0j, 0.0j)
-            return _top_eigpair_2x2(h11, -c_eve * bb12, -c_eve * norm2_perp)
-
-        def signal(u):
-            # |a^H u|^2
-            return norm2_a * abs(u[0]) ** 2
-
-        # Fixed point of t = P |a^H u(t)|^2: the signal power seen through the
-        # optimal direction. |a^H u(t)|^2 is non-increasing in t, so bisect.
-        t_hi = p_budget * norm2_a
-        lam_hi, u = top_dir(t_hi)
-        gain_hi = p_budget * signal(u) if lam_hi > 0.0 else 0.0
-        if gain_hi < t_hi:
-            lo, hi = 0.0, t_hi
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                lam, u = top_dir(mid)
-                gain = p_budget * signal(u) if lam > 0.0 else 0.0
-                if gain >= mid:
-                    lo = mid
-                else:
-                    hi = mid
-
-        alpha = signal(u)
-        beta = abs(b1.conjugate() * u[0] + b2 * u[1]) ** 2
-        s = _best_power(alpha, beta, sigma2, c_eve, p_budget)
-        if s > 0.0:
-            # Put w exactly on ||w||^2 = s and read the signal powers off w
-            # itself.
-            v = (u[0] / norm_a) * a
-            if b2 > 0.0:
-                v = v + (u[1] / b2) * b_perp
-            w = math.sqrt(s) / np.linalg.norm(v) * v
+        gain = p_budget * norm2_a / sigma2
+        c_p = c_eve * p_budget
+        lo, hi = 0.0, math.atan2(b1, b2)
+        for _ in range(60):
+            t = 0.5 * (lo + hi)
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            # Half the objective's slope in t is the left side minus the right.
+            if (c_p * (b1 * cos_t - b2 * sin_t) * (b1 * sin_t + b2 * cos_t)
+                    > gain * sin_t * cos_t / (1.0 + gain * cos_t * cos_t)):
+                lo = t
+            else:
+                hi = t
+        root_p = math.sqrt(p_budget)
+        w = (root_p * math.cos(lo) / norm_a) * a
+        # With b1 = 0 the interval is [0, 0] and the phase of b^H a undefined.
+        if b1 > 0.0 and b2 > 0.0:
+            w -= (root_p * math.sin(lo) / (b2 * abs(b_dot_a)) * b_dot_a) * b_perp
 
     t_a = abs(np.vdot(a, w)) ** 2
     t_b = abs(np.vdot(b, w)) ** 2

@@ -28,6 +28,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -212,11 +213,14 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
     worker count (with timing off). The convergence experiment writes one row
     per AO round of each scheme: ao-multi-irs by default, single-irs on its
     consolidated surface; mrt and random-bf are one-shot, have no trace and
-    are rejected there. trials and workers must be positive integers (not
-    bool), sweeps may hold only the keys of default_sweeps(), every sweep grid
-    must be a list of numbers, and master_seed a seed that SystemConfig
-    accepts. A sweep experiment rejects an empty grid and a grid that repeats
-    a value; element_sweep also rejects a non-integral count.
+    are rejected there. schemes, when given, must be a non-empty list or
+    tuple of distinct names from SCHEMES. trials and workers must be positive
+    integers (not bool), sweeps may hold only the keys of default_sweeps(),
+    every sweep grid must be a list of numbers, and master_seed a seed that
+    SystemConfig accepts. A sweep experiment rejects an empty grid and a grid
+    that repeats a value; element_sweep also rejects a non-integral count. An
+    out_path that cannot be opened for writing fails before any trial is
+    solved.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -236,11 +240,17 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
     if master_seed is not None:
         cfg = replace(cfg, seed=master_seed)
-    schemes = tuple(schemes) if schemes else (
-        ("ao-multi-irs",) if experiment == "convergence" else SCHEMES)
+    if schemes is None:
+        schemes = ("ao-multi-irs",) if experiment == "convergence" else SCHEMES
+    if not (isinstance(schemes, (list, tuple)) and schemes):
+        raise ValueError(f"schemes must be a non-empty list of scheme names, "
+                         f"got {schemes!r}")
+    schemes = tuple(schemes)
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+        if schemes.count(scheme) > 1:
+            raise ValueError(f"scheme {scheme!r} is listed twice")
         if experiment == "convergence" and scheme in ("mrt", "random-bf"):
             raise ValueError(f"convergence traces the alternating optimizer; "
                              f"scheme {scheme!r} has no trace")
@@ -265,6 +275,13 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
             tasks = [(replace(cfg, n_refl=int(m)), schemes,
                       "n_refl", m, t, timing)
                      for m in grid for t in range(trials)]
+
+    if out_path is not None:
+        # Refuse an unwritable path before solving, and leave no file behind.
+        existed = os.path.exists(out_path)
+        open(out_path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(out_path)
 
     # A fork-started pool launches all max_workers processes up front.
     workers = min(workers, len(tasks))
@@ -333,7 +350,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         cfg, sweeps = load_config(args.config)
-        schemes = args.scheme.split(",") if args.scheme else None
+        schemes = None if args.scheme is None else args.scheme.split(",")
         records = run_experiment(
             cfg, args.experiment, args.trials, out_path=args.out,
             sweeps=sweeps, master_seed=args.seed, schemes=schemes,

@@ -176,6 +176,19 @@ class TestScaSubproblem:
                               power=float(10.0 ** rng.uniform(-0.5, 0.5)))
             pair = random_pair(rng, 4, eve_scale=float(10.0 ** rng.uniform(-0.5, 0.5)))
             cases.append((cfg, pair, float(rng.uniform(0.0, 2.0))))
+        # the branch points of the one-angle search: b orthogonal to a
+        # exactly and b = 0 (an empty interval, where the phase of b^H a is
+        # undefined), b parallel to a at a complex coupling, and a pair at
+        # physical scale (noise 1e-14 W, ||a|| near 1e-6)
+        a = np.array([1.0, 1.0j, 0.0, 0.0])
+        cases.append((desk_config(n_tx=4, power=2.0),
+                      (a, np.array([0.0, 0.0, 2.0, -1.0j])), 0.4))
+        cases.append((desk_config(n_tx=4, power=2.0), (a, np.zeros(4, dtype=complex)), 0.4))
+        a, _ = random_pair(rng, 4)
+        cases.append((desk_config(n_tx=4, power=10.0), (a, 0.5 * np.exp(1j) * a), 0.0))
+        a, b = random_pair(rng, 4)
+        cases.append((desk_config(n_tx=4, noise_user=1e-14, noise_eve=1e-14),
+                      (3e-7 * a, 3e-7 * b), 4.0))
         # eavesdropper parallel to the user: the optimum is below full power
         a, _ = random_pair(rng, 4)
         interior = (desk_config(n_tx=4, power=10.0), (a, a / 2), 0.0)
@@ -188,6 +201,8 @@ class TestScaSubproblem:
             # grid points are feasible, so the exact solver can only be above
             assert it.objective >= ref - 1e-9
             assert it.objective == pytest.approx(ref, abs=1e-4)
+            assert np.all(np.isfinite(it.w))
+            assert np.linalg.norm(it.w) ** 2 <= cfg.power_budget * (1.0 + 1e-12)
         # `it` is the interior case, the last one
         assert 0.0 < np.linalg.norm(it.w) ** 2 < 0.5 * interior[0].power_budget
         print(f"\nsubproblem vs grid oracle: worst |diff| = {worst:.2e}")

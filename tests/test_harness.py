@@ -349,6 +349,29 @@ class TestRunExperiment:
             run_experiment(small_cfg(), "power_sweep", 1,
                            sweeps={"power_sweep_dbm": grid}, schemes=["mrt"])
 
+    @pytest.mark.parametrize("schemes,message", [
+        (["mrt", "mrt"], "scheme 'mrt' is listed twice"),
+        ([], r"schemes must be a non-empty list of scheme names, got \[\]"),
+        ("mrt", "schemes must be a non-empty list of scheme names, got 'mrt'"),
+    ], ids=["repeated", "empty", "string"])
+    def test_rejects_bad_scheme_list(self, schemes, message):
+        # these once wrote every row twice, ran all four schemes, and failed
+        # with "unknown scheme 'm'"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_cfg(), "power_sweep", 1, schemes=schemes,
+                           sweeps={"power_sweep_dbm": [30.0]})
+
+    def test_writable_out_probe_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_task(args):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(harness, "_sweep_task", failing_task)
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError, match="solve failed"):
+            run_experiment(small_cfg(), "power_sweep", 1, out_path=str(out),
+                           sweeps={"power_sweep_dbm": [30.0]}, schemes=["mrt"])
+        assert not out.exists()
+
     def test_rejects_negative_master_seed(self):
         # numpy's SeedSequence would refuse it later, without naming the seed
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -434,6 +457,32 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_scheme_fails_cleanly(self, tmp_path, capsys):
+        # --scheme "" once counted as unset and ran all four schemes
+        out = tmp_path / "x.csv"
+        code = main(["--experiment", "power_sweep", "--trials", "1",
+                     "--out", str(out), "--scheme", ""])
+        assert code == 1
+        assert "unknown scheme ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        calls = 0
+
+        def counted_task(args):
+            nonlocal calls
+            calls += 1
+            return []
+
+        monkeypatch.setattr(harness, "_sweep_task", counted_task)
+        # the path was once opened only after every trial had been solved
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["--experiment", "power_sweep", "--trials", "2",
+                     "--workers", "1", "--out", str(out)])
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+        assert calls == 0
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
