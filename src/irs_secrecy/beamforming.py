@@ -107,7 +107,6 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
     b = np.asarray(b, dtype=complex)
     sigma2, sigma2_e = cfg.noise_user, cfg.noise_eve
     p_budget = cfg.power_budget
-    c_eve = math.exp(-q_anchor) / sigma2_e
 
     norm2_a, b_dot_a, b_perp, _, norm2_perp = _split(a, b)
 
@@ -117,7 +116,7 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
         b1 = abs(b_dot_a) / norm_a
         b2 = math.sqrt(norm2_perp)
         gain = p_budget * norm2_a / sigma2
-        c_p = c_eve * p_budget
+        c_p = math.exp(-q_anchor) * p_budget / sigma2_e
         lo, hi = 0.0, math.atan2(b1, b2)
         for _ in range(60):
             t = 0.5 * (lo + hi)

@@ -250,7 +250,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         if schemes.count(scheme) > 1:
-            raise ValueError(f"scheme {scheme!r} is listed twice")
+            raise ValueError(f"scheme {scheme!r} is listed more than once")
         if experiment == "convergence" and scheme in ("mrt", "random-bf"):
             raise ValueError(f"convergence traces the alternating optimizer; "
                              f"scheme {scheme!r} has no trace")

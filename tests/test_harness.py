@@ -350,7 +350,7 @@ class TestRunExperiment:
                            sweeps={"power_sweep_dbm": grid}, schemes=["mrt"])
 
     @pytest.mark.parametrize("schemes,message", [
-        (["mrt", "mrt"], "scheme 'mrt' is listed twice"),
+        (["mrt", "mrt"], "scheme 'mrt' is listed more than once"),
         ([], r"schemes must be a non-empty list of scheme names, got \[\]"),
         ("mrt", "schemes must be a non-empty list of scheme names, got 'mrt'"),
     ], ids=["repeated", "empty", "string"])
@@ -361,7 +361,7 @@ class TestRunExperiment:
             run_experiment(small_cfg(), "power_sweep", 1, schemes=schemes,
                            sweeps={"power_sweep_dbm": [30.0]})
 
-    def test_writable_out_probe_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch):
         def failing_task(args):
             raise RuntimeError("solve failed")
 
