@@ -18,7 +18,8 @@ the matched beamformer is exactly the envelope gradient. A fixed-beamformer
 phase pass (`mo_ascend`) before it would only move the refine's start. A
 trial point costs one product with the switched-on cascade rows, three inner
 products and a scalar root (`beamforming._pencil_rate`); the closed-form
-beamformer is built at accepted points only, where the gradient needs it.
+beamformer is built at accepted points only, where the gradient needs it,
+and the refine ends at the last, before any step worth < `phases.TOL` bits.
 """
 
 import math

@@ -211,14 +211,16 @@ class SolutionState:
         return self.phases.reshape(-1, n_refl)
 
     def validate(self, cfg: SystemConfig) -> None:
-        """Raise if the transmit power, unit-modulus, or binary constraints
-        are violated beyond the standard slacks."""
-        if self.beamformer.shape != (cfg.n_tx,):
-            raise ValueError("beamformer length must equal n_tx")
-        if self.phases.shape != (cfg.n_irs * cfg.n_refl,):
-            raise ValueError("phases length must equal n_irs * n_refl")
-        if self.onoff.shape != (cfg.n_irs,):
-            raise ValueError("onoff length must equal n_irs")
+        """Raise on non-finite entries, or if the transmit power, unit-modulus,
+        or binary constraints are violated beyond the standard slacks."""
+        sizes = {"beamformer": cfg.n_tx, "phases": cfg.n_irs * cfg.n_refl,
+                 "onoff": cfg.n_irs}
+        for name, size in sizes.items():
+            entries = getattr(self, name)
+            if entries.shape != (size,):
+                raise ValueError(f"{name} length must equal {size}")
+            if not np.isfinite(entries).all():
+                raise ValueError(f"{name} entries must be finite")
         power = float(np.real(np.vdot(self.beamformer, self.beamformer)))
         if power > cfg.power_budget + POWER_TOL:
             raise ValueError(f"transmit power {power} exceeds budget {cfg.power_budget}")

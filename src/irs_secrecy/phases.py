@@ -14,12 +14,12 @@ have exactly zero gradient and their phases are held frozen. The gradient is
 the Wirtinger gradient g alone; the angle gradient 2 Im(g conj(theta)) is the
 Riemannian gradient in angle coordinates.
 
-One ascent engine, with one stopping rule, serves two value functions:
-`mo_ascend` ascends the objective above with the beamformer held fixed, and
-the joint refinement in `ao` (the AO round's phase block) ascends its
-envelope over the closed-form beamformer, which it builds at accepted points
-only. Both hand the engine the per-element amplitudes (c, d) at accepted
-points, and the engine returns a point where it last asked for them.
+One ascent engine, with one stopping rule (take no step predicted to gain
+under TOL bits), serves two value functions: `mo_ascend` ascends the objective
+above with the beamformer held fixed, and the joint refinement in `ao` (the AO
+round's phase block) ascends its envelope over the closed-form beamformer,
+which it builds at accepted points only. Both hand the engine the per-element
+amplitudes (c, d) at accepted points, and it returns the last such point.
 """
 
 from collections import deque
@@ -39,7 +39,6 @@ GRID_MAX_ELEMENTS = 4
 ARMIJO = 1e-4
 MAX_ITER = 2000
 TOL = 1e-12
-PATIENCE = 5
 MEMORY = 8          # L-BFGS curvature pairs
 FIRST_STEP = 0.1    # largest angle move (rad) of a step without curvature pairs
 
@@ -88,32 +87,29 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
 
     evaluate(theta) -> (value, state) is called at every trial point;
     amplitudes(state) -> (c, d) at the start and at accepted points, for the
-    gradient. With theta = exp(i phi) the product of circles is a flat torus,
-    so the plain L-BFGS two-loop recursion on phi is Riemannian L-BFGS. The
-    angle gradient is r = 2 Im(g conj(theta)) for the Wirtinger gradient g
-    (|r|/2 is the size of its tangent part); the direction is p = H r from the
-    last MEMORY curvature pairs (s = accepted angle step, y = r_prev - r, kept
-    only when s.y > 0). With no pairs stored, or when r.p <= 0 (the memory is
-    then cleared), p is r scaled to move the largest angle by FIRST_STEP
-    radians, whatever the size of r. Trial points theta exp(i t p) start at
-    t = 1 and halve until the increase passes the Armijo test along the slope
-    r.p, so the trace is non-decreasing. Every stop but a failed backtracking
-    search is tested right after the gradient: a stationary point
-    (||r||^2 <= 4e-20 ||g||^2; a phase-invariant objective leaves a
-    rounding-level r), PATIENCE consecutive steps that each gained less than
-    TOL (one small step can be an overshoot artifact), or MAX_ITER steps.
-    Returns (theta, trace); the last amplitudes call received theta.
+    gradient. The angle gradient is r = 2 Im(g conj(theta)) for the
+    Wirtinger gradient g (|r|/2 is the size of its tangent part); the
+    direction is p = H r from the last MEMORY curvature pairs (s = accepted
+    angle step, y = r_prev - r, kept only when s.y > 0). With no pairs
+    stored, or when r.p <= 0 (the memory is then cleared), p is r scaled to
+    move the largest angle by FIRST_STEP radians, whatever the size of r.
+    Trial points theta exp(i t p) start at t = 1 and halve until the increase
+    passes the Armijo test along the slope r.p, so the trace is
+    non-decreasing. Every stop but a failed backtracking search comes after
+    the gradient and before any trial point: a stationary point (||r||^2 <=
+    4e-20 ||g||^2; a phase-invariant objective leaves a rounding-level r),
+    MAX_ITER steps, or a slope r.p (the full step's first-order gain) below
+    TOL bits. Returns (theta, trace); the last amplitudes call received theta.
     """
     value, state = evaluate(theta)
     trace = [value]
-    small_steps = 0
     pairs = deque(maxlen=MEMORY)
     r_prev = None
     while True:
         g = _wirtinger_gradient(theta, *amplitudes(state), cfg)
         r = 2.0 * np.imag(g * np.conj(theta))
         if (float(r @ r) <= 4.0 * max(1e-20 * np.vdot(g, g).real, 1e-300)
-                or small_steps >= PATIENCE or len(trace) > MAX_ITER):
+                or len(trace) > MAX_ITER):
             break
         if r_prev is not None:
             s, y = step * direction, r_prev - r
@@ -128,6 +124,8 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
             pairs.clear()
             direction = r * (FIRST_STEP / np.max(np.abs(r)))
             slope = float(r @ direction)
+        if slope < TOL:
+            break
         r_prev = r
         step = 1.0
         while step > 1e-18:
@@ -138,7 +136,6 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
             step *= 0.5
         else:
             break
-        small_steps = small_steps + 1 if trial_value - value < TOL else 0
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
     return theta, np.asarray(trace)

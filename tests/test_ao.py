@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irs_secrecy import ao, harness
+from irs_secrecy import phases as phases_module
 from irs_secrecy.ao import ao_solve, user_aligned_state
 from irs_secrecy.beamforming import gevd_oracle, sca_solve
 from irs_secrecy.channel_gen import gen_channels
@@ -141,6 +142,22 @@ class TestJointRefine:
                 worst = max(worst, np.linalg.norm(r) / (2.0 * np.linalg.norm(g)))
                 steps = max(steps, len(trace) - 1)
         assert worst <= 1e-3 and steps < MAX_ITER
+
+    def test_stop_loses_nothing_against_an_exhaustive_refine(self, monkeypatch):
+        # The refine stops once a direction predicts a gain below TOL. Run
+        # with TOL = 0 it goes on until the point is stationary, a search
+        # fails or the step cap; stopping early must lose under 1e-9 bits.
+        base, _ = harness.load_config(None)
+        starts = []
+        for power_dbm in (0.0, 40.0):
+            cfg = replace(base, power_budget=dbm_to_watt(power_dbm))
+            for t in range(2):
+                ch = gen_channels(cfg, harness._stream(8383, t, 0))
+                starts.append((ch, cfg, user_aligned_state(ch, cfg)))
+        stopped = [ao._joint_refine(*start)[2][-1] for start in starts]
+        monkeypatch.setattr(phases_module, "TOL", 0.0)
+        exhaustive = [ao._joint_refine(*start)[2][-1] for start in starts]
+        assert np.max(np.abs(np.subtract(exhaustive, stopped))) <= 1e-9
 
     def test_every_surface_off_returns_the_zero_beamformer(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=2)

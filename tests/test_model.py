@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,19 @@ class TestValidation:
                                    onoff=np.array([2, 0]))
         with pytest.raises(ValueError):
             fractional.validate(cfg)
+        # Every comparison with NaN is False, so NaN entries pass the bounds
+        # above unless they are refused by name.
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            w = sol.beamformer.copy()
+            w[1] = bad
+            with pytest.raises(ValueError, match="beamformer"):
+                replace(sol, beamformer=w).validate(cfg)
+            with pytest.raises(ValueError, match="beamformer"):
+                replace(sol, beamformer=np.full(cfg.n_tx, bad)).validate(cfg)
+            theta = sol.phases.copy()
+            theta[2] = bad
+            with pytest.raises(ValueError, match="phases"):
+                replace(sol, phases=theta).validate(cfg)
 
     def test_channels_reject_non_finite(self):
         with pytest.raises(ValueError):

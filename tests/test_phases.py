@@ -7,7 +7,7 @@ import pytest
 from irs_secrecy import ao
 from irs_secrecy import phases as phases_module
 from irs_secrecy.model import SolutionState, rate_gap
-from irs_secrecy.phases import (ARMIJO, FIRST_STEP, PATIENCE, _riemannian_ascent,
+from irs_secrecy.phases import (ARMIJO, FIRST_STEP, TOL, _riemannian_ascent,
                                 _wirtinger_gradient, mo_ascend, phase_grid_oracle,
                                 phase_objective, phase_objective_gradient)
 
@@ -172,23 +172,36 @@ def scripted_ascent(theta, values, amplitudes, cfg):
     return points
 
 
-def rising_ascent(cfg, rise):
-    """Run the engine on fixed amplitudes with values that rise by `rise` at
-    every evaluation and the trial point itself as the state. Returns the
-    returned point, the trace and every state amplitudes() received."""
+def rising_instance():
+    """Fixed amplitudes (c, d) and a start theta for the rising ascent."""
     rng = np.random.default_rng(13)
     c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
-    calls, seen = itertools.count(), []
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6)), c, d
+
+
+def rising_ascent(cfg, rise, scales=(1.0,)):
+    """Run the engine on rising_instance with values that rise by `rise` at
+    every evaluation and the trial point itself as the state; the k-th
+    gradient sees the amplitudes scaled by scales[k] (the last entry from
+    then on). Returns the returned point, the trace, every state
+    amplitudes() received and the order of the calls ("e" for evaluate,
+    "a" for amplitudes)."""
+    theta, c, d = rising_instance()
+    calls, seen, log = itertools.count(), [], []
+
+    def evaluate(trial):
+        log.append("e")
+        return rise * next(calls), trial
 
     def amplitudes(point):
+        log.append("a")
+        scale = scales[min(len(seen), len(scales) - 1)]
         seen.append(point)
-        return c, d
+        return scale * c, scale * d
 
-    theta, trace = _riemannian_ascent(
-        theta, lambda trial: (rise * next(calls), trial), amplitudes, cfg)
-    return theta, trace, seen
+    theta, trace = _riemannian_ascent(theta, evaluate, amplitudes, cfg)
+    return theta, trace, seen, "".join(log)
 
 
 class TestAscentEngine:
@@ -256,19 +269,42 @@ class TestAscentEngine:
     # Every stop but a failed backtracking search comes right after a
     # gradient, so amplitudes() is called once per accepted point, the
     # returned point last: the joint refine's beamformer is built there.
-    def test_patience_stop_returns_where_the_last_gradient_was_taken(
-            self, monkeypatch):
-        monkeypatch.setattr(phases_module, "TOL", 1.0)   # every 0.5 gain is small
-        theta, trace, seen = rising_ascent(desk_config(noise_eve=0.5), 0.5)
-        assert len(trace) == PATIENCE + 1 == len(seen)
+    def test_slope_stop_returns_where_the_last_gradient_was_taken(self):
+        # Three steps on unit amplitudes, then amplitudes scaled by 1e-12 at
+        # the third accepted point: the gradient there is ~1e-24, so the
+        # direction built from it predicts a gain far below TOL.
+        theta, trace, seen, log = rising_ascent(desk_config(noise_eve=0.5), 1.0,
+                                                scales=(1.0, 1.0, 1.0, 1e-12))
+        assert len(trace) == 4 == len(seen)
         assert np.array_equal(seen[-1], theta)
+        assert log == "ea" * 4
+
+    def test_flat_direction_stops_without_a_trial_point(self, monkeypatch):
+        # At the start (no curvature pairs) the direction is r scaled to move
+        # the largest angle by FIRST_STEP, so its slope r.p is known here. It
+        # is below TOL while the point is not stationary: the engine must
+        # stop on the slope alone, with no evaluation after the gradient,
+        # and step once TOL is below that slope.
+        cfg = desk_config(noise_eve=0.5)
+        theta0, c, d = rising_instance()
+        g = _wirtinger_gradient(theta0, 1e-12 * c, 1e-12 * d, cfg)
+        r = 2.0 * np.imag(g * np.conj(theta0))
+        slope = FIRST_STEP * (r @ r) / np.max(np.abs(r))
+        assert 0.0 < slope < TOL and r @ r > 4e-20 * np.vdot(g, g).real
+        theta, trace, seen, log = rising_ascent(cfg, 1.0, scales=(1e-12,))
+        assert log == "ea" and trace.tolist() == [0.0]
+        assert np.array_equal(theta, theta0) and np.array_equal(seen[0], theta0)
+        monkeypatch.setattr(phases_module, "TOL", 0.5 * slope)
+        _, trace, _, log = rising_ascent(cfg, 1.0, scales=(1e-12,))
+        assert log.startswith("eae") and len(trace) > 1
 
     def test_step_cap_stop_returns_where_the_last_gradient_was_taken(
             self, monkeypatch):
         monkeypatch.setattr(phases_module, "MAX_ITER", 3)
-        theta, trace, seen = rising_ascent(desk_config(noise_eve=0.5), 1.0)
+        theta, trace, seen, log = rising_ascent(desk_config(noise_eve=0.5), 1.0)
         assert len(trace) == 4 == len(seen)
         assert np.array_equal(seen[-1], theta)
+        assert log == "ea" * 4
 
 
 class TestGlobalPhaseInvariance:
