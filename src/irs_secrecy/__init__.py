@@ -22,7 +22,6 @@ from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
                     effective_channels, gain_gap, rate_gap, secrecy_rate)
 from .onoff import (brute_force_onoff, dinkelbach_solve, ratio_coefficients,
                     ratio_value)
-from .phases import (mo_ascend, phase_grid_oracle, phase_objective,
-                     phase_objective_gradient)
+from .phases import mo_ascend, phase_grid_oracle, phase_objective_gradient
 
 __version__ = "0.1.0"

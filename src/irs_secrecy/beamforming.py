@@ -44,13 +44,12 @@ class ScaIterate:
 
     w satisfies ||w||^2 <= power budget; p_aux and q_aux satisfy
     exp(p_aux) = 1 + |a^H w|^2/s2 and the linearized eavesdropper constraint
-    at the anchor q_anchor holds with equality.
+    at the subproblem's anchor holds with equality.
     """
 
     w: np.ndarray
     p_aux: float
     q_aux: float
-    q_anchor: float
 
     @property
     def objective(self) -> float:
@@ -137,7 +136,7 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
     t_b = abs(np.vdot(b, w)) ** 2
     p_aux = math.log1p(t_a / sigma2)
     q_aux = q_anchor - 1.0 + (1.0 + t_b / sigma2_e) * math.exp(-q_anchor)
-    return ScaIterate(w=w, p_aux=p_aux, q_aux=q_aux, q_anchor=q_anchor)
+    return ScaIterate(w=w, p_aux=p_aux, q_aux=q_aux)
 
 
 def sca_solve(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):

@@ -32,7 +32,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -86,12 +86,12 @@ def default_sweeps() -> dict:
     }
 
 
-# Keys a JSON config may hold, besides the sweep grids of default_sweeps().
-_CONFIG_KEYS = ("n_tx", "n_refl", "n_irs", "pathloss_exponent", "pathloss_ref_db",
-                "paths_ap_irs", "paths_irs_user", "paths_irs_eve", "seed",
-                "ap_position", "irs_positions", "user_position", "eve_position")
+# Keys a JSON config may hold besides the sweep grids of default_sweeps():
+# every SystemConfig field, the watt fields under their dBm names.
 _DBM_KEYS = {"noise_user_dbm": "noise_user", "noise_eve_dbm": "noise_eve",
              "power_dbm": "power_budget"}
+_CONFIG_KEYS = tuple(f.name for f in fields(SystemConfig)
+                     if f.name not in _DBM_KEYS.values())
 
 
 def load_config(path: str | None):
@@ -140,8 +140,7 @@ def random_baseline(ch: ChannelSet, cfg: SystemConfig,
                     rng: np.random.Generator) -> SolutionState:
     """All surfaces on, random unit-modulus phases, random full-power
     beamformer."""
-    n_tx = cfg.n_tx
-    v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
+    v = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
     w = np.sqrt(cfg.power_budget) * v / np.linalg.norm(v)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_irs * cfg.n_refl)
     return SolutionState(beamformer=w, phases=np.exp(1j * angles),
@@ -256,8 +255,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
                              f"scheme {scheme!r} has no trace")
 
     if experiment == "convergence":
-        tasks = [(cfg, schemes, "round", None, t, timing)
-                 for t in range(trials)]
+        points = [(cfg, "round", None)]
     else:
         key = "power_sweep_dbm" if experiment == "power_sweep" else "element_sweep"
         grid = [float(v) for v in sweeps[key]]
@@ -268,13 +266,12 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         if key == "element_sweep" and not all(m.is_integer() for m in grid):
             raise ValueError(f"{key} values must be integers")
         if experiment == "power_sweep":
-            tasks = [(replace(cfg, power_budget=dbm_to_watt(p, key)), schemes,
-                      "power_dbm", p, t, timing)
-                     for p in grid for t in range(trials)]
+            points = [(replace(cfg, power_budget=dbm_to_watt(p, key)),
+                       "power_dbm", p) for p in grid]
         else:
-            tasks = [(replace(cfg, n_refl=int(m)), schemes,
-                      "n_refl", m, t, timing)
-                     for m in grid for t in range(trials)]
+            points = [(replace(cfg, n_refl=int(m)), "n_refl", m) for m in grid]
+    tasks = [(point_cfg, schemes, name, value, t, timing)
+             for point_cfg, name, value in points for t in range(trials)]
 
     if out_path is not None:
         # Refuse an unwritable path before solving, and leave no file behind.

@@ -183,10 +183,6 @@ class ChannelSet:
     def n_refl(self) -> int:
         return self.g_ap_irs.shape[1]
 
-    @property
-    def n_tx(self) -> int:
-        return self.g_ap_irs.shape[2]
-
 
 @dataclass(frozen=True)
 class SolutionState:
@@ -203,12 +199,11 @@ class SolutionState:
                            np.asarray(self.beamformer, dtype=complex))
         object.__setattr__(self, "phases",
                            np.asarray(self.phases, dtype=complex))
-        object.__setattr__(self, "onoff",
-                           np.asarray(self.onoff, dtype=int))
-
-    def phase_blocks(self, n_refl: int) -> np.ndarray:
-        """Phases reshaped to one row per surface."""
-        return self.phases.reshape(-1, n_refl)
+        onoff = np.asarray(self.onoff)
+        if onoff.dtype.kind not in "biu" and not (onoff.dtype.kind in "fc" and np.all(
+                np.isfinite(onoff) & (onoff == np.round(onoff.real)))):
+            raise ValueError(f"onoff entries must be integers, got {self.onoff!r}")
+        object.__setattr__(self, "onoff", np.asarray(onoff.real, dtype=int))
 
     def validate(self, cfg: SystemConfig) -> None:
         """Raise on non-finite entries, or if the transmit power, unit-modulus,

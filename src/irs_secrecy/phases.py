@@ -29,7 +29,6 @@ import numpy as np
 from .model import LN2, ChannelSet, SolutionState, SystemConfig, gain_gap
 
 __all__ = [
-    "phase_objective",
     "phase_objective_gradient",
     "mo_ascend",
     "phase_grid_oracle",
@@ -68,15 +67,18 @@ def _wirtinger_gradient(theta, c, d, cfg):
 def _lbfgs_direction(r, pairs):
     """Two-loop product H r of the angle gradient r with the L-BFGS inverse
     Hessian of the pairs (s, y, 1 / s.y), oldest first, scaled by H0 =
-    s.y / y.y of the newest pair."""
+    s.y / y.y of the newest pair, or by FIRST_STEP / max|r| with no pairs."""
     q = r.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         alpha = rho * float(s @ q)   # Python floats: numpy scalars cost more
         q -= alpha * y
         alphas.append(alpha)
-    s, y, rho = pairs[-1]
-    q *= 1.0 / (rho * float(y @ y))
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    else:
+        q *= FIRST_STEP / np.max(np.abs(r))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return q
@@ -116,14 +118,11 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
             sy = float(s @ y)
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
-        slope = 0.0
-        if pairs:
-            direction = _lbfgs_direction(r, pairs)
-            slope = float(r @ direction)
-        if slope <= 0.0:
+        direction = _lbfgs_direction(r, pairs)
+        if pairs and float(r @ direction) <= 0.0:
             pairs.clear()
-            direction = r * (FIRST_STEP / np.max(np.abs(r)))
-            slope = float(r @ direction)
+            direction = _lbfgs_direction(r, pairs)
+        slope = float(r @ direction)
         if slope < TOL:
             break
         r_prev = r
@@ -139,14 +138,6 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
     return theta, np.asarray(trace)
-
-
-def phase_objective(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
-                    phases: np.ndarray | None = None) -> float:
-    """Unclamped rate difference at the given (or the solution's) phases."""
-    c, d, act = _active_stacks(ch, sol)
-    theta = sol.phases if phases is None else np.asarray(phases, dtype=complex)
-    return _objective(theta[act], c, d, cfg)
 
 
 def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
@@ -183,16 +174,13 @@ def phase_grid_oracle(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
     Only usable when at most four elements are active; all inactive phases
     stay frozen at their current values. Returns (phases, objective) for the
     best grid point on the [0, 2pi)^k lattice with `resolution` points per
-    axis.
+    axis; with no active element that is the phases unchanged and 0.0.
     """
     c, d, act = _active_stacks(ch, sol)
     k = len(act)
     if k > GRID_MAX_ELEMENTS:
         raise ValueError(f"grid oracle limited to {GRID_MAX_ELEMENTS} active elements")
     theta = np.array(sol.phases, dtype=complex)
-    if k == 0:
-        return theta, _objective(theta[act], c, d, cfg)
-
     angles = 2.0 * np.pi * np.arange(resolution) / resolution
     ring = np.exp(1j * angles)
     u_grid = np.zeros((resolution,) * k, dtype=complex)

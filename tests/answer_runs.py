@@ -1,0 +1,48 @@
+"""Write the eight seed-7 CSVs of the answer check into one directory.
+
+    python tests/answer_runs.py OUT_DIR
+
+Runs the convergence (ao-multi-irs and single-irs, 6 trials), power sweep
+(3 trials), element sweep (2 trials) and `bench/many_surfaces.json` power
+sweep (2 trials) experiments at master seed 7, each at `--workers` 1 and 2,
+through the CLI entry point of the package in this checkout's `src/`. The
+files are named convergence-w1.csv ... many-w2.csv. Exits 1 when a run fails.
+Run it in two checkouts, then compare the directories with `cmp` or with
+`tests/compare_answers.py`.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from irs_secrecy.harness import main as cli  # noqa: E402
+
+RUNS = {
+    "convergence": ["--experiment", "convergence", "--scheme",
+                    "ao-multi-irs,single-irs", "--trials", "6"],
+    "power": ["--experiment", "power_sweep", "--trials", "3"],
+    "element": ["--experiment", "element_sweep", "--trials", "2"],
+    "many": ["--config", str(ROOT / "bench" / "many_surfaces.json"),
+             "--experiment", "power_sweep", "--trials", "2"],
+}
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    for workers in (1, 2):
+        for name, args in RUNS.items():
+            path = out / f"{name}-w{workers}.csv"
+            if cli(args + ["--seed", "7", "--workers", str(workers),
+                           "--out", str(path)]) != 0:
+                return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

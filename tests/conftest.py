@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from irs_secrecy.model import ChannelSet, SolutionState, SystemConfig
+from irs_secrecy.model import ChannelSet, SolutionState, SystemConfig, rate_gap
 
 
 def desk_config(n_tx=4, n_refl=3, n_irs=2, noise_user=1.0, noise_eve=1.0,
@@ -37,6 +39,11 @@ def random_solution(rng, cfg, all_on=True) -> SolutionState:
         if x.sum() == 0:
             x[0] = 1
     return SolutionState(beamformer=w, phases=np.exp(1j * angles), onoff=x)
+
+
+def rate_at_phases(ch, sol, cfg, phases) -> float:
+    """Unclamped rate difference of sol with its phases replaced."""
+    return rate_gap(ch, replace(sol, phases=phases), cfg)
 
 
 def random_coefficients(rng, n_irs, spread=1.0):

@@ -66,6 +66,13 @@ class TestWarmStart:
         gain_uniform = abs(np.vdot(a_uniform, w_u)) ** 2
         assert gain_aligned > gain_uniform
 
+    def test_zero_user_channel_puts_all_power_on_antenna_0(self):
+        cfg = desk_config(n_tx=3, n_refl=2, n_irs=1, power=2.0)
+        ch = ChannelSet(g_ap_irs=np.ones((1, 2, 3)), h_irs_user=np.zeros((1, 2)),
+                        g_irs_eve=np.ones((1, 2)))
+        w = ao.matched_filter(ch, cfg, np.ones(2, dtype=complex))
+        assert np.array_equal(w, [np.sqrt(2.0), 0.0, 0.0])
+
 
 class TestAoSolve:
     def test_no_eavesdropper_matches_joint_grid(self, rng):

@@ -168,6 +168,13 @@ class TestScaSubproblem:
         # minimal feasible q at zero eavesdropper power
         assert it.q_aux == pytest.approx(0.7 - 1.0 + math.exp(-0.7), rel=1e-12)
 
+    @pytest.mark.parametrize("anchor", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_anchor(self, anchor):
+        cfg = desk_config(n_tx=2)
+        with pytest.raises(ValueError, match="q_anchor must be finite"):
+            sca_subproblem(np.ones(2, dtype=complex), np.ones(2, dtype=complex),
+                           cfg, q_anchor=anchor)
+
     def test_matches_grid_oracle(self, rng):
         cases = []
         for _ in range(12):

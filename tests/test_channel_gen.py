@@ -88,6 +88,10 @@ class TestSteeringVector:
                                 float(rng.uniform(-np.pi / 2, np.pi / 2)))
             assert np.allclose(np.abs(v), 1.0, atol=1e-14)
 
+    def test_rejects_no_elements(self):
+        with pytest.raises(ValueError, match="element count must be >= 1"):
+            steering_vector(0, 0.3)
+
     def test_endfire_two_elements(self):
         v = steering_vector(2, np.pi / 2)
         assert v[0] == pytest.approx(1.0)

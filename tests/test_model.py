@@ -70,7 +70,7 @@ class TestEffectiveChannels:
         cfg = desk_config(n_tx=4, n_refl=4, n_irs=3)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg, all_on=False)
-        theta = sol.phase_blocks(cfg.n_refl)
+        theta = sol.phases.reshape(-1, cfg.n_refl)
         expect = np.zeros(cfg.n_tx, dtype=complex)
         for l in range(cfg.n_irs):
             if sol.onoff[l] == 0:
@@ -103,6 +103,11 @@ class TestEffectiveChannels:
                             phases=np.ones(3, dtype=complex),  # wrong length
                             onoff=np.ones(2, dtype=int))
         with pytest.raises(ValueError):
+            effective_channels(ch, bad)
+        bad = SolutionState(beamformer=np.ones(3, dtype=complex),
+                            phases=np.ones(4, dtype=complex),
+                            onoff=np.ones(3, dtype=int))  # wrong length
+        with pytest.raises(ValueError, match="onoff vector"):
             effective_channels(ch, bad)
 
     def test_linearity_in_onoff(self, rng):
@@ -273,6 +278,15 @@ class TestValidation:
                                    onoff=np.array([2, 0]))
         with pytest.raises(ValueError):
             fractional.validate(cfg)
+        # int conversion would truncate the first two to the valid [0, 1]
+        # and [1, 0]
+        for onoff in ([0.5, 1], [1.7, 0], [np.nan, 1], [1j, 0]):
+            with pytest.raises(ValueError, match="onoff"):
+                replace(sol, onoff=np.array(onoff)).validate(cfg)
+        for name, short in (("beamformer", sol.beamformer[:2]),
+                            ("phases", sol.phases[:3]), ("onoff", sol.onoff[:1])):
+            with pytest.raises(ValueError, match=f"{name} length must equal"):
+                replace(sol, **{name: short}).validate(cfg)
         # Every comparison with NaN is False, so NaN entries pass the bounds
         # above unless they are refused by name.
         for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
@@ -286,6 +300,15 @@ class TestValidation:
             theta[2] = bad
             with pytest.raises(ValueError, match="phases"):
                 replace(sol, phases=theta).validate(cfg)
+
+    def test_channels_reject_wrong_shapes(self):
+        with pytest.raises(ValueError, match="g_ap_irs must be"):
+            ChannelSet(g_ap_irs=np.ones((2, 3)), h_irs_user=np.ones((2, 3)),
+                       g_irs_eve=np.ones((2, 3)))
+        for h, e in (((2, 4), (2, 3)), ((2, 3), (3, 3))):
+            with pytest.raises(ValueError, match="must be \\(L, N_r\\)"):
+                ChannelSet(g_ap_irs=np.ones((2, 3, 4)), h_irs_user=np.ones(h),
+                           g_irs_eve=np.ones(e))
 
     def test_channels_reject_non_finite(self):
         with pytest.raises(ValueError):

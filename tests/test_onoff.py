@@ -44,7 +44,7 @@ class TestRatioCoefficients:
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
         v_user, _ = ratio_coefficients(ch, sol)
-        theta = sol.phase_blocks(cfg.n_refl)[0]
+        theta = sol.phases.reshape(-1, cfg.n_refl)[0]
         v = np.conj(ch.h_irs_user[0]) * theta @ (ch.g_ap_irs[0] @ sol.beamformer)
         lin, cross = quadratic_expansion(v_user)
         assert lin[0] == pytest.approx(abs(v) ** 2, rel=1e-12)
@@ -66,7 +66,7 @@ class TestRatioCoefficients:
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
         v_user, v_eve = ratio_coefficients(ch, sol)
-        theta = sol.phase_blocks(cfg.n_refl)
+        theta = sol.phases.reshape(-1, cfg.n_refl)
         amps_user = np.array([
             np.conj(ch.h_irs_user[l]) * theta[l] @ (ch.g_ap_irs[l] @ sol.beamformer)
             for l in range(3)])

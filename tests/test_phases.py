@@ -9,9 +9,9 @@ from irs_secrecy import phases as phases_module
 from irs_secrecy.model import SolutionState, rate_gap
 from irs_secrecy.phases import (ARMIJO, FIRST_STEP, TOL, _riemannian_ascent,
                                 _wirtinger_gradient, mo_ascend, phase_grid_oracle,
-                                phase_objective, phase_objective_gradient)
+                                phase_objective_gradient)
 
-from conftest import desk_config, random_channels, random_solution
+from conftest import desk_config, random_channels, random_solution, rate_at_phases
 
 
 def fd_angle_gradient(ch, sol, cfg, step=1e-6):
@@ -23,8 +23,8 @@ def fd_angle_gradient(ch, sol, cfg, step=1e-6):
         plus[k] += step
         minus = angles.copy()
         minus[k] -= step
-        out[k] = (phase_objective(ch, sol, cfg, phases=np.exp(1j * plus))
-                  - phase_objective(ch, sol, cfg, phases=np.exp(1j * minus)))
+        out[k] = (rate_at_phases(ch, sol, cfg, np.exp(1j * plus))
+                  - rate_at_phases(ch, sol, cfg, np.exp(1j * minus)))
     return out / (2.0 * step)
 
 
@@ -313,10 +313,10 @@ class TestGlobalPhaseInvariance:
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=1)
         ch = random_channels(rng, cfg)
         sol = random_solution(rng, cfg)
-        base = phase_objective(ch, sol, cfg)
+        base = rate_gap(ch, sol, cfg)
         for alpha in (0.4, 1.9, np.pi / 3):
             rotated = sol.phases * np.exp(1j * alpha)
-            assert phase_objective(ch, sol, cfg, phases=rotated) == \
+            assert rate_at_phases(ch, sol, cfg, rotated) == \
                 pytest.approx(base, abs=1e-12)
 
 
@@ -327,7 +327,7 @@ class TestGridOracle:
         sol = random_solution(rng, cfg)
         _, best = phase_grid_oracle(ch, sol, cfg, resolution=64)
         # objective is constant over the grid
-        assert best == pytest.approx(phase_objective(ch, sol, cfg), abs=1e-12)
+        assert best == pytest.approx(rate_gap(ch, sol, cfg), abs=1e-12)
 
     def test_refinement_never_decreases(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=1)
@@ -354,3 +354,12 @@ class TestGridOracle:
         phases, _ = phase_grid_oracle(ch, sol, cfg, resolution=32)
         assert np.array_equal(phases[:2], sol.phases[:2])
         assert np.array_equal(phases[4:], sol.phases[4:])
+
+    def test_every_surface_off_returns_the_phases_and_zero(self, rng):
+        # no active element: the lattice is one point, the empty assignment
+        cfg = desk_config(n_tx=3, n_refl=2, n_irs=3)
+        ch = random_channels(rng, cfg)
+        sol = replace(random_solution(rng, cfg), onoff=np.zeros(3, dtype=int))
+        phases, best = phase_grid_oracle(ch, sol, cfg, resolution=8)
+        assert np.array_equal(phases, sol.phases) and phases is not sol.phases
+        assert type(best) is float and best == 0.0
