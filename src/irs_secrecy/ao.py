@@ -34,7 +34,7 @@ from .beamforming import _pencil_rate, gevd_oracle, sca_solve  # noqa: F401
 from .model import (ChannelSet, SolutionState, SystemConfig, effective_channels,
                     rate_gap)
 from .onoff import dinkelbach_solve, ratio_coefficients
-from .phases import _riemannian_ascent, mo_ascend  # noqa: F401
+from .phases import _riemannian_ascent, _wirtinger_gradient, mo_ascend  # noqa: F401
 
 __all__ = ["matched_filter", "user_aligned_state", "ao_solve"]
 
@@ -80,7 +80,7 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
 
     On the switched-on elements' cascade rows R_u, R_e the effective pair at
     phases theta is a = conj(theta @ R_u), b = conj(theta @ R_e); w and
-    c = R_u @ w, d = R_e @ w are built wherever the ascent takes a gradient.
+    c = R_u @ w, d = R_e @ w are built for the gradient, at accepted points.
     """
     act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
     n_tx, n_act = cfg.n_tx, len(act)
@@ -92,15 +92,15 @@ def _joint_refine(ch: ChannelSet, cfg: SystemConfig, sol: SolutionState):
         conj_ab = theta @ side
         return _pencil_rate(conj_ab[:n_tx], conj_ab[n_tx:], cfg), conj_ab
 
-    def amplitudes(conj_ab):
+    def gradient(theta, conj_ab):
         nonlocal w
         ab = np.conj(conj_ab)
         w = gevd_oracle(ab[:n_tx], ab[n_tx:], cfg)[0]
         cd = stack @ w
-        return cd[:n_act], cd[n_act:]
+        return _wirtinger_gradient(theta, cd[:n_act], cd[n_act:], cfg)
 
     phases = np.array(sol.phases, dtype=complex)
-    phases[act], trace = _riemannian_ascent(phases[act], evaluate, amplitudes, cfg)
+    phases[act], trace = _riemannian_ascent(phases[act], evaluate, gradient)
     return phases, w, trace
 
 

@@ -165,18 +165,15 @@ def sca_solve(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     w0 = math.sqrt(p_budget) * a / norm_a
     q_anchor = math.log1p(abs(np.vdot(b, w0)) ** 2 / cfg.noise_eve)
     trace = []
-    prev = None
-    converged = False
-    iterate = None
     for _ in range(50):
         iterate = sca_subproblem(a, b, cfg, q_anchor)
-        obj = iterate.objective
-        trace.append(obj)
-        if prev is not None and abs(obj - prev) < 1e-6:
+        trace.append(iterate.objective)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < 1e-6:
             converged = True
             break
-        prev = obj
         q_anchor = iterate.q_aux
+    else:
+        converged = False
 
     w = iterate.w
     if _pair_gap(a, b, w, cfg) <= 0.0:

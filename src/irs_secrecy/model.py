@@ -86,7 +86,8 @@ class SystemConfig:
     n_irs surfaces. noise_user / noise_eve are receiver noise powers in watts,
     power_budget is the transmit power cap in watts. Path loss follows
     pathloss_ref_db - 10 * pathloss_exponent * log10(d) in dB, anchored at 1 m.
-    paths_* are the sparse ray counts of the three link types.
+    paths_* are the sparse ray counts of the three link types. No AP, user or
+    eavesdropper position may coincide with a surface's: path loss needs d > 0.
     """
 
     n_tx: int = 16
@@ -138,6 +139,11 @@ class SystemConfig:
             object.__setattr__(self, name, _real(getattr(self, name), name, (3,)))
         object.__setattr__(self, "irs_positions", _real(
             self.irs_positions, "irs_positions", (self.n_irs, 3)))
+        surfaces = self.irs_positions.tolist()
+        for name in ("ap_position", "user_position", "eve_position"):
+            if (point := getattr(self, name).tolist()) in surfaces:
+                raise ValueError(f"{name} coincides with "
+                                 f"irs_positions[{surfaces.index(point)}]")
 
 @dataclass(frozen=True)
 class ChannelSet:

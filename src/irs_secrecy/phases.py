@@ -17,9 +17,9 @@ Riemannian gradient in angle coordinates.
 One ascent engine, with one stopping rule (take no step predicted to gain
 under TOL bits), serves two value functions: `mo_ascend` ascends the objective
 above with the beamformer held fixed, and the joint refinement in `ao` (the AO
-round's phase block) ascends its envelope over the closed-form beamformer,
-which it builds at accepted points only. Both hand the engine the per-element
-amplitudes (c, d) at accepted points, and it returns the last such point.
+round's phase block) ascends its envelope over the closed-form beamformer.
+Both hand the engine evaluate and gradient functions; it takes gradients at
+accepted points only and returns the last such point.
 """
 
 from collections import deque
@@ -48,10 +48,6 @@ def _active_stacks(ch: ChannelSet, sol: SolutionState):
     act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
     return (ch.cascade_user[act] @ sol.beamformer,
             ch.cascade_eve[act] @ sol.beamformer, act)
-
-
-def _objective(theta, c, d, cfg):
-    return gain_gap(abs(np.sum(theta * c)) ** 2, abs(np.sum(theta * d)) ** 2, cfg)
 
 
 def _wirtinger_gradient(theta, c, d, cfg):
@@ -84,34 +80,30 @@ def _lbfgs_direction(r, pairs):
     return q
 
 
-def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
+def _riemannian_ascent(theta, evaluate, gradient):
     """L-BFGS ascent on the product of circles, in angle coordinates.
 
     evaluate(theta) -> (value, state) is called at every trial point;
-    amplitudes(state) -> (c, d) at the start and at accepted points, for the
-    gradient. The angle gradient is r = 2 Im(g conj(theta)) for the
-    Wirtinger gradient g (|r|/2 is the size of its tangent part); the
+    gradient(theta, state) -> Wirtinger gradient g at the start and at
+    accepted points. The angle gradient is r = 2 Im(g conj(theta)); the
     direction is p = H r from the last MEMORY curvature pairs (s = accepted
-    angle step, y = r_prev - r, kept only when s.y > 0). With no pairs
-    stored, or when r.p <= 0 (the memory is then cleared), p is r scaled to
-    move the largest angle by FIRST_STEP radians, whatever the size of r.
-    Trial points theta exp(i t p) start at t = 1 and halve until the increase
-    passes the Armijo test along the slope r.p, so the trace is
-    non-decreasing. Every stop but a failed backtracking search comes after
-    the gradient and before any trial point: a stationary point (||r||^2 <=
-    4e-20 ||g||^2; a phase-invariant objective leaves a rounding-level r),
-    MAX_ITER steps, or a slope r.p (the full step's first-order gain) below
-    TOL bits. Returns (theta, trace); the last amplitudes call received theta.
+    angle step, y = r_prev - r, kept only when s.y > 0, so H stays positive
+    definite). With no pairs p is r scaled to move the largest angle by
+    FIRST_STEP radians, whatever the size of r. Trial points theta exp(i t p)
+    start at t = 1 and halve until the increase passes the Armijo test along
+    the slope r.p, so the trace is non-decreasing. Every stop but a failed
+    backtracking search comes after the gradient and before any trial point:
+    r exactly zero (or empty), MAX_ITER steps, or a slope r.p (the full
+    step's first-order gain) below TOL bits. Returns (theta, trace); the
+    last gradient call received theta.
     """
     value, state = evaluate(theta)
     trace = [value]
     pairs = deque(maxlen=MEMORY)
     r_prev = None
     while True:
-        g = _wirtinger_gradient(theta, *amplitudes(state), cfg)
-        r = 2.0 * np.imag(g * np.conj(theta))
-        if (float(r @ r) <= 4.0 * max(1e-20 * np.vdot(g, g).real, 1e-300)
-                or len(trace) > MAX_ITER):
+        r = 2.0 * np.imag(gradient(theta, state) * np.conj(theta))
+        if not r.any() or len(trace) > MAX_ITER:
             break
         if r_prev is not None:
             s, y = step * direction, r_prev - r
@@ -119,9 +111,6 @@ def _riemannian_ascent(theta, evaluate, amplitudes, cfg):
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
         direction = _lbfgs_direction(r, pairs)
-        if pairs and float(r @ direction) <= 0.0:
-            pairs.clear()
-            direction = _lbfgs_direction(r, pairs)
         slope = float(r @ direction)
         if slope < TOL:
             break
@@ -162,8 +151,10 @@ def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
     c, d, act = _active_stacks(ch, sol)
     phases = np.array(sol.phases, dtype=complex)
     phases[act], trace = _riemannian_ascent(
-        phases[act], lambda theta: (_objective(theta, c, d, cfg), None),
-        lambda _: (c, d), cfg)
+        phases[act],
+        lambda theta: (gain_gap(abs(np.sum(theta * c)) ** 2,
+                                abs(np.sum(theta * d)) ** 2, cfg), None),
+        lambda theta, _: _wirtinger_gradient(theta, c, d, cfg))
     return phases, trace
 
 

@@ -7,7 +7,7 @@ Runs the convergence (ao-multi-irs and single-irs, 6 trials), power sweep
 sweep (2 trials) experiments at master seed 7, each at `--workers` 1 and 2,
 through the CLI entry point of the package in this checkout's `src/`. The
 files are named convergence-w1.csv ... many-w2.csv. Exits 1 when a run fails.
-Run it in two checkouts, then compare the directories with `cmp` or with
+Run it in two checkouts, then compare the directories with
 `tests/compare_answers.py`.
 """
 

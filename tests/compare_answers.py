@@ -2,13 +2,13 @@
 
     python tests/compare_answers.py DIR_A DIR_B
 
-For every *.csv in DIR_A, the file of the same name in DIR_B is read and
-their rows are paired in order. Prints, per file, the largest per-row
-|delta secrecy_rate| and every row whose `rounds` differ. Exits 1 when a file
-is missing from DIR_B or a pair's rows do not line up (another count, or
-another trial, scheme or sweep point in the same place); otherwise 0, so the
-size of a change is left to the reader. `cmp` remains the check that a
-change writes the same bytes; this tells how far apart two answers are.
+For every *.csv in DIR_A, the file of the same name in DIR_B is read. A pair
+with the same bytes prints `identical bytes`; otherwise their rows are paired
+in order and it prints the largest per-row |delta secrecy_rate| and every row
+whose `rounds` differ. Exits 1 when a file is missing from DIR_B or a pair's
+rows do not line up (another count, or another trial, scheme or sweep point
+in the same place); otherwise 0, so the size of a change is left to the
+reader.
 """
 
 import csv
@@ -60,6 +60,9 @@ def main(argv):
         if not path_b.is_file():
             print(f"{path_a.name}: missing from {dir_b}")
             ok = False
+            continue
+        if path_a.read_bytes() == path_b.read_bytes():
+            print(f"{path_a.name}: identical bytes")
             continue
         lines, lined_up = compare(path_a, path_b)
         print("\n".join(lines))

@@ -519,6 +519,27 @@ class TestCli:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_node_on_a_surface_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # single-irs keeps only the last surface, so the layout is checked
+        # before any scheme consolidates it
+        calls = 0
+
+        def counted_task(args):
+            nonlocal calls
+            calls += 1
+            return []
+
+        monkeypatch.setattr(harness, "_sweep_task", counted_task)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ap_position": [0, 20, 20]}))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "power_sweep",
+                     "--trials", "1", "--workers", "1", "--scheme", "single-irs",
+                     "--out", str(out)])
+        assert code == 1
+        assert "ap_position coincides with irs_positions[0]" in capsys.readouterr().err
+        assert not out.exists() and calls == 0
+
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL))

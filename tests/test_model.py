@@ -248,6 +248,16 @@ class TestValidation:
         assert cfg.user_position.dtype == float
         assert cfg.user_position.tolist() == [5.0, 40.0, 0.0]
 
+    @pytest.mark.parametrize("name,surface", [
+        ("ap_position", 0), ("user_position", 1), ("eve_position", 2)])
+    def test_config_rejects_a_node_on_a_surface(self, name, surface):
+        # the link to that surface would have length 0, where path loss is
+        # undefined: refused up front, naming both fields
+        position = SystemConfig().irs_positions[surface].tolist()
+        with pytest.raises(ValueError, match=rf"^{name} coincides with "
+                                             rf"irs_positions\[{surface}\]$"):
+            SystemConfig(**{name: position})
+
     def test_config_rejects_wrong_irs_count(self):
         with pytest.raises(ValueError):
             SystemConfig(n_irs=2)  # default positions list three surfaces

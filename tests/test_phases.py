@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,7 +169,8 @@ def scripted_ascent(theta, values, amplitudes, cfg):
         points.append(trial)
         return next(values, -1.0), None
 
-    _riemannian_ascent(theta, evaluate, amplitudes, cfg)
+    _riemannian_ascent(theta, evaluate,
+                       lambda t, state: _wirtinger_gradient(t, *amplitudes(state), cfg))
     return points
 
 
@@ -200,7 +202,9 @@ def rising_ascent(cfg, rise, scales=(1.0,)):
         seen.append(point)
         return scale * c, scale * d
 
-    theta, trace = _riemannian_ascent(theta, evaluate, amplitudes, cfg)
+    theta, trace = _riemannian_ascent(
+        theta, evaluate,
+        lambda t, point: _wirtinger_gradient(t, *amplitudes(point), cfg))
     return theta, trace, seen, "".join(log)
 
 
@@ -297,6 +301,37 @@ class TestAscentEngine:
         monkeypatch.setattr(phases_module, "TOL", 0.5 * slope)
         _, trace, _, log = rising_ascent(cfg, 1.0, scales=(1e-12,))
         assert log.startswith("eae") and len(trace) > 1
+
+    def test_zero_gradient_stops_at_the_start(self):
+        # Zero amplitudes give r = 0 exactly on a nonempty phase vector: the
+        # engine must stop before building a direction, which would divide
+        # by max|r| = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, trace, seen, log = rising_ascent(desk_config(noise_eve=0.5),
+                                                    1.0, scales=(0.0,))
+        theta0, _, _ = rising_instance()
+        assert log == "ea" and trace.tolist() == [0.0]
+        assert np.array_equal(theta, theta0) and np.array_equal(seen[0], theta0)
+
+    def test_direction_that_does_not_ascend_stops_without_a_trial_point(
+            self, monkeypatch):
+        # With curvature pairs H is positive definite, so H r ascends; a
+        # direction that does not predicts a gain below TOL and ends the
+        # ascent where the gradient was taken, with no restart.
+        lbfgs, stored = phases_module._lbfgs_direction, []
+
+        def descending(r, pairs):
+            stored.append(len(pairs))
+            return -r if pairs else lbfgs(r, pairs)
+
+        monkeypatch.setattr(phases_module, "_lbfgs_direction", descending)
+        theta, trace, seen, log = rising_ascent(desk_config(noise_eve=0.5), 1.0)
+        # steps without pairs until one is kept, then no trial point
+        n = len(stored)
+        assert stored[-1] > 0 and stored[:-1] == [0] * (n - 1)
+        assert log == "ea" * n and len(trace) == n
+        assert np.array_equal(seen[-1], theta)
 
     def test_step_cap_stop_returns_where_the_last_gradient_was_taken(
             self, monkeypatch):
