@@ -38,8 +38,8 @@ import numpy as np
 
 from .ao import ao_solve, matched_filter
 from .channel_gen import gen_channels
-from .model import (ChannelSet, SolutionState, SystemConfig, dbm_to_watt,
-                    secrecy_rate)
+from .model import (ChannelSet, SolutionState, SystemConfig, _is_number,
+                    dbm_to_watt, secrecy_rate)
 
 __all__ = [
     "ExperimentRecord",
@@ -56,11 +56,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = ["trial", "scheme", "sweep_name", "sweep_value",
-              "secrecy_rate", "rounds", "runtime_ms", "seed"]
-
 SCHEMES = ("ao-multi-irs", "single-irs", "mrt", "random-bf")
-_SCHEME_IDS = {name: i for i, name in enumerate(SCHEMES)}
 
 EXPERIMENTS = ("convergence", "power_sweep", "element_sweep")
 
@@ -77,6 +73,9 @@ class ExperimentRecord:
     rounds: int
     runtime_ms: float
     seed: int
+
+
+CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
 
 
 def default_sweeps() -> dict:
@@ -150,10 +149,8 @@ def random_baseline(ch: ChannelSet, cfg: SystemConfig,
 def consolidate_single_irs(cfg: SystemConfig) -> SystemConfig:
     """Single-surface comparison geometry: one surface at the last listed
     position carrying the total element count n_irs * n_refl."""
-    return replace(cfg,
-                   n_irs=1,
-                   n_refl=cfg.n_irs * cfg.n_refl,
-                   irs_positions=cfg.irs_positions[-1:].copy())
+    return replace(cfg, n_irs=1, n_refl=cfg.n_irs * cfg.n_refl,
+                   irs_positions=cfg.irs_positions[-1:])
 
 
 def _trial_base_seed(master_seed: int, trial: int) -> int:
@@ -175,7 +172,7 @@ def _run_scheme(scheme, cfg, trial):
     if scheme == "mrt":
         return [secrecy_rate(ch, mrt_baseline(ch, cfg), cfg)]
     if scheme == "random-bf":
-        rng = _stream(cfg.seed, trial, 100 + _SCHEME_IDS[scheme])
+        rng = _stream(cfg.seed, trial, 100 + SCHEMES.index(scheme))
         return [secrecy_rate(ch, random_baseline(ch, cfg, rng), cfg)]
     return ao_solve(ch, cfg)[1]       # ao-multi-irs and single-irs
 
@@ -233,9 +230,8 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
         raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
     sweeps = {**default_sweeps(), **(sweeps or {})}
     for key, grid in sweeps.items():
-        if not (isinstance(grid, (list, tuple, np.ndarray)) and all(
-                isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) for v in grid)):
+        if not (isinstance(grid, (list, tuple, np.ndarray))
+                and all(_is_number(v) for v in grid)):
             raise ValueError(f"{key} must be a list of numbers, got {grid!r}")
     if master_seed is not None:
         cfg = replace(cfg, seed=master_seed)

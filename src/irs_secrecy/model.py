@@ -4,7 +4,7 @@ One multi-antenna access point serves a single-antenna user in the presence of
 a single-antenna eavesdropper. All direct links are blocked; every signal path
 runs through one of L reflecting surfaces, each with per-element phase control
 and a binary on/off switch. Everything here is pure and immutable: types are
-frozen dataclasses and every operation can be evaluated concurrently.
+frozen dataclasses of read-only arrays; every operation can run concurrently.
 
 With the surfaces fixed, the problem reduces to the effective pair (a, b):
 two complex arrays from `effective_channels`, and `_pair_gap` is the one
@@ -43,20 +43,30 @@ LN2 = math.log(2.0)
 DBM_RANGE = (-3040.0, 3110.0)
 
 
+def _is_number(v) -> bool:
+    """True for an int or a float, numpy types included, but not a bool."""
+    return type(v) is not bool and isinstance(v, (int, float, np.integer, np.floating))
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    """A read-only copy of value as an array of dtype."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _real(value, name: str, shape: tuple = ()):
-    """value as a float (shape ()) or as a float array of the given shape.
+    """value as a float (shape ()) or a read-only float array of that shape.
 
     The one check of every real-valued input: a wrong shape, a bool, a str or
     any other non-number, and a non-finite value are refused with a
     ValueError that names the field.
     """
     arr = np.asarray(value, dtype=object)  # keeps True apart from 1
-    if arr.shape != shape or not all(
-            isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) for v in arr.flat):
+    if arr.shape != shape or not all(_is_number(v) for v in arr.flat):
         what = "a real number" if shape == () else f"real numbers of shape {shape}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    real = arr.astype(float)
+    real = _frozen(arr, float)
     if not np.isfinite(real).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(real) if shape == () else real
@@ -116,9 +126,7 @@ class SystemConfig:
         for name in ("n_tx", "n_refl", "n_irs", "paths_ap_irs", "paths_irs_user",
                      "paths_irs_eve", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float, np.integer, np.floating))
-                    and float(value).is_integer()):
+            if not (_is_number(value) and float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             minimum = 0 if name == "seed" else 1
             if value < minimum:
@@ -135,12 +143,11 @@ class SystemConfig:
             object.__setattr__(self, name, val)
         for name in ("pathloss_exponent", "pathloss_ref_db"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        for name in ("ap_position", "user_position", "eve_position"):
-            object.__setattr__(self, name, _real(getattr(self, name), name, (3,)))
         object.__setattr__(self, "irs_positions", _real(
             self.irs_positions, "irs_positions", (self.n_irs, 3)))
         surfaces = self.irs_positions.tolist()
         for name in ("ap_position", "user_position", "eve_position"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, (3,)))
             if (point := getattr(self, name).tolist()) in surfaces:
                 raise ValueError(f"{name} coincides with "
                                  f"irs_positions[{surfaces.index(point)}]")
@@ -162,9 +169,8 @@ class ChannelSet:
     cascade_eve: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.g_ap_irs, dtype=complex)
-        h = np.asarray(self.h_irs_user, dtype=complex)
-        e = np.asarray(self.g_irs_eve, dtype=complex)
+        g, h, e = (_frozen(v, complex)
+                   for v in (self.g_ap_irs, self.h_irs_user, self.g_irs_eve))
         if g.ndim != 3:
             raise ValueError("g_ap_irs must be (L, N_r, N_t)")
         if h.shape != g.shape[:2] or e.shape != g.shape[:2]:
@@ -201,15 +207,13 @@ class SolutionState:
     onoff: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beamformer",
-                           np.asarray(self.beamformer, dtype=complex))
-        object.__setattr__(self, "phases",
-                           np.asarray(self.phases, dtype=complex))
+        object.__setattr__(self, "beamformer", _frozen(self.beamformer, complex))
+        object.__setattr__(self, "phases", _frozen(self.phases, complex))
         onoff = np.asarray(self.onoff)
         if onoff.dtype.kind not in "biu" and not (onoff.dtype.kind in "fc" and np.all(
                 np.isfinite(onoff) & (onoff == np.round(onoff.real)))):
             raise ValueError(f"onoff entries must be integers, got {self.onoff!r}")
-        object.__setattr__(self, "onoff", np.asarray(onoff.real, dtype=int))
+        object.__setattr__(self, "onoff", _frozen(onoff.real, int))
 
     def validate(self, cfg: SystemConfig) -> None:
         """Raise on non-finite entries, or if the transmit power, unit-modulus,

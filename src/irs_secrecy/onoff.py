@@ -178,8 +178,8 @@ def brute_force_onoff(v_user, v_eve, cfg: SystemConfig):
         block_best = float(np.max(ratios))
         if block_best > best_ratio:
             best_ratio = block_best
-            winners = [grid[i].copy() for i in np.flatnonzero(ratios == block_best)]
+            winners = [grid[i] for i in np.flatnonzero(ratios == block_best)]
         elif block_best == best_ratio:
-            winners.extend(grid[i].copy() for i in np.flatnonzero(ratios == block_best))
+            winners.extend(grid[i] for i in np.flatnonzero(ratios == block_best))
     winners.sort(key=lambda row: (int(row.sum()), tuple(row)))
     return winners[0], best_ratio

@@ -116,7 +116,7 @@ def _riemannian_ascent(theta, evaluate, gradient):
             break
         r_prev = r
         step = 1.0
-        while step > 1e-18:
+        while step > 1e-18:  # not tied to TOL: that crawls MAX_ITER steps at tiny noise
             trial = theta * np.exp(1j * step * direction)
             trial_value, trial_state = evaluate(trial)
             if trial_value >= value + ARMIJO * step * slope:
@@ -174,13 +174,10 @@ def phase_grid_oracle(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
     theta = np.array(sol.phases, dtype=complex)
     angles = 2.0 * np.pi * np.arange(resolution) / resolution
     ring = np.exp(1j * angles)
-    u_grid = np.zeros((resolution,) * k, dtype=complex)
-    e_grid = np.zeros((resolution,) * k, dtype=complex)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = resolution
-        u_grid = u_grid + c[axis] * ring.reshape(shape)
-        e_grid = e_grid + d[axis] * ring.reshape(shape)
+    axes = np.ix_(*[ring] * k)
+    zero = np.zeros((resolution,) * k, dtype=complex)
+    u_grid = sum((c_i * axis for c_i, axis in zip(c, axes)), zero)
+    e_grid = sum((d_i * axis for d_i, axis in zip(d, axes)), zero)
     values = (np.log1p(np.abs(u_grid) ** 2 / cfg.noise_user)
               - np.log1p(np.abs(e_grid) ** 2 / cfg.noise_eve)) / LN2
     flat_best = int(np.argmax(values))

@@ -224,7 +224,7 @@ class TestProperties:
         assert np.all(np.diff(trace) >= 0.0)
 
     @pytest.mark.parametrize("noise", [1e-100, 1e-300])
-    def test_tiny_noise(self, noise):
+    def test_tiny_noise(self, noise, monkeypatch):
         # SNRs near 1e90 and beyond on the reference layout: the beamformer's
         # pencil is far too ill-conditioned for a dense generalized
         # eigensolver, the closed form still holds.
@@ -236,7 +236,18 @@ class TestProperties:
         cfg, _ = harness.load_config(None)
         cfg = replace(cfg, noise_user=noise, noise_eve=noise)
         ch = gen_channels(cfg, harness._stream(3, 0, 0))
+        steps, refine = [], ao._joint_refine
+
+        def recorded_refine(ch, cfg, sol):
+            phases, w, trace = refine(ch, cfg, sol)
+            steps.append(len(trace) - 1)
+            return phases, w, trace
+
+        monkeypatch.setattr(ao, "_joint_refine", recorded_refine)
         sol, trace = ao_solve(ch, cfg)
+        # Here the refine finds no gain; a backtracking floor tied to TOL
+        # would crawl MAX_ITER zero-gain steps instead of stopping.
+        assert steps and max(steps) < MAX_ITER
         sol.validate(cfg)
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= 0.0)

@@ -248,6 +248,33 @@ class TestValidation:
         assert cfg.user_position.dtype == float
         assert cfg.user_position.tolist() == [5.0, 40.0, 0.0]
 
+    def test_types_hold_read_only_copies(self, rng):
+        # a write into a held array would move a node onto a surface past the
+        # check below, or leave the cascade rows describing other channels;
+        # the caller's arrays are copied, not frozen
+        cfg = desk_config()
+        ch = random_channels(rng, cfg)
+        sol = random_solution(rng, cfg)
+        given = {
+            SystemConfig: ("ap_position", "irs_positions", "user_position",
+                           "eve_position"),
+            ChannelSet: ("g_ap_irs", "h_irs_user", "g_irs_eve"),
+            SolutionState: ("beamformer", "phases", "onoff"),
+        }
+        for source in (cfg, ch, sol):
+            arrays = {name: np.array(getattr(source, name))
+                      for name in given[type(source)]}
+            built = replace(source, **arrays)
+            for name, arr in arrays.items():
+                held = getattr(built, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    held[0] = arr[0]
+                arr[0] += 1
+                assert not np.array_equal(held, arr), name
+        for rows in (ch.cascade_user, ch.cascade_eve):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0
+
     @pytest.mark.parametrize("name,surface", [
         ("ap_position", 0), ("user_position", 1), ("eve_position", 2)])
     def test_config_rejects_a_node_on_a_surface(self, name, surface):

@@ -390,6 +390,29 @@ class TestGridOracle:
         assert np.array_equal(phases[:2], sol.phases[:2])
         assert np.array_equal(phases[4:], sol.phases[4:])
 
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
+    def test_matches_a_direct_scan(self, n_active):
+        # every lattice point valued on its own, surface 0 off
+        rng = np.random.default_rng([1207, n_active])
+        cfg = desk_config(n_tx=3, n_refl=n_active, n_irs=2, noise_eve=0.5)
+        ch = random_channels(rng, cfg)
+        sol = replace(random_solution(rng, cfg), onoff=np.array([0, 1]))
+        act = np.arange(n_active, 2 * n_active)
+        c = ch.cascade_user[act] @ sol.beamformer
+        d = ch.cascade_eve[act] @ sol.beamformer
+
+        def value(theta):
+            return (np.log2(1.0 + abs(theta @ c) ** 2 / cfg.noise_user)
+                    - np.log2(1.0 + abs(theta @ d) ** 2 / cfg.noise_eve))
+
+        ring = np.exp(2j * np.pi * np.arange(12) / 12)
+        scan = max(value(np.array(point))
+                   for point in itertools.product(ring, repeat=n_active))
+        phases, best = phase_grid_oracle(ch, sol, cfg, resolution=12)
+        assert best == pytest.approx(scan, abs=1e-12)
+        assert value(phases[act]) == pytest.approx(scan, abs=1e-12)
+        assert np.array_equal(phases[:n_active], sol.phases[:n_active])
+
     def test_every_surface_off_returns_the_phases_and_zero(self, rng):
         # no active element: the lattice is one point, the empty assignment
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=3)
