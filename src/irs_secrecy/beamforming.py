@@ -240,9 +240,7 @@ def gevd_oracle(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp = _split(a, b)
-    if norm2_a == 0.0:
-        return np.zeros(len(a), dtype=complex), 0.0
-    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
+    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg) if norm2_a > 0.0 else 1.0
     if lam <= 1.0:
         return np.zeros(len(a), dtype=complex), 0.0
     p_budget = cfg.power_budget

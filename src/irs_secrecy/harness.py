@@ -93,16 +93,25 @@ _CONFIG_KEYS = tuple(f.name for f in fields(SystemConfig)
                      if f.name not in _DBM_KEYS.values())
 
 
+def _unique_keys(pairs) -> dict:
+    """json.load's object_pairs_hook: refuse an object that repeats a key."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"repeated config keys: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def load_config(path: str | None):
-    """Build (SystemConfig, sweeps) from a JSON file; missing keys keep the
-    built-in defaults and unknown keys are rejected. The file must hold a
-    JSON object. Power-like entries are given in dBm in the file and
-    converted to watts here, at the boundary; like every real-valued field
-    they must be JSON numbers. The sweep grids are checked by run_experiment."""
+    """Build (SystemConfig, sweeps) from a JSON file holding a JSON object;
+    missing keys keep the built-in defaults, unknown or repeated keys are
+    rejected. Power-like entries are given in dBm in the file and converted
+    to watts here, at the boundary; like every real-valued field they must
+    be JSON numbers. The sweep grids are checked by run_experiment."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError(f"config file must hold a JSON object, "
                              f"got {type(raw).__name__}")
@@ -114,11 +123,8 @@ def load_config(path: str | None):
     for key, name in _DBM_KEYS.items():
         if key in raw:
             kwargs[name] = dbm_to_watt(raw[key], key)
-    cfg = SystemConfig(**kwargs)
-    for key in sweeps:
-        if key in raw:
-            sweeps[key] = raw[key]
-    return cfg, sweeps
+    sweeps.update({key: raw[key] for key in sweeps if key in raw})
+    return SystemConfig(**kwargs), sweeps
 
 
 def mrt_baseline(ch: ChannelSet, cfg: SystemConfig) -> SolutionState:
@@ -296,15 +302,7 @@ def run_experiment(cfg: SystemConfig, experiment: str, trials: int,
 
 def write_csv(records, out_path: str) -> None:
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([r.trial, r.scheme, r.sweep_name,
-                             repr(float(r.sweep_value)),
-                             repr(float(r.secrecy_rate)),
-                             r.rounds,
-                             repr(float(r.runtime_ms)),
-                             r.seed])
+        csv.writer(fh).writerows([CSV_HEADER, *(vars(r).values() for r in records)])
 
 
 def summarize(records) -> list[str]:

@@ -46,6 +46,37 @@ def rate_at_phases(ch, sol, cfg, phases) -> float:
     return rate_gap(ch, replace(sol, phases=phases), cfg)
 
 
+def pair_gap(a, b, w, cfg) -> float:
+    """Rate difference log2(1 + |a^H w|^2/s2) - log2(1 + |b^H w|^2/s2e) of
+    the beamformer w on the effective pair (a, b)."""
+    gu = abs(np.vdot(a, w)) ** 2
+    ge = abs(np.vdot(b, w)) ** 2
+    return float(np.log2(1.0 + gu / cfg.noise_user)
+                 - np.log2(1.0 + ge / cfg.noise_eve))
+
+
+def fd_angle_gradient(ch, sol, cfg, step=1e-6):
+    """Central finite differences of the objective w.r.t. the phase angles."""
+    angles = np.angle(sol.phases)
+    out = np.zeros(len(angles))
+    for k in range(len(angles)):
+        plus = angles.copy()
+        plus[k] += step
+        minus = angles.copy()
+        minus[k] -= step
+        out[k] = (rate_at_phases(ch, sol, cfg, np.exp(1j * plus))
+                  - rate_at_phases(ch, sol, cfg, np.exp(1j * minus)))
+    return out / (2.0 * step)
+
+
+def user_aligned_phases(ch, sol):
+    """Phases that co-phase every element's cascade to the user under
+    sol's beamformer (1 where that cascade is zero)."""
+    gw = np.einsum("lnt,t->ln", ch.g_ap_irs, sol.beamformer)
+    c = (np.conj(ch.h_irs_user) * gw).reshape(-1)
+    return np.where(np.abs(c) > 0.0, np.exp(-1j * np.angle(c)), 1.0 + 0.0j)
+
+
 def random_coefficients(rng, n_irs, spread=1.0):
     """Random per-surface amplitudes (v_user, v_eve) with magnitudes spread
     over 10^(+-spread)."""

