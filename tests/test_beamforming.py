@@ -279,6 +279,18 @@ class TestScaSolve:
             _, trace, _ = sca_solve(*random_pair(rng, 4, eve_scale=1.5), cfg)
             assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_matches_oracle_small_batch(self, rng):
+        # the full 100-instance sweep lives in the acceptance suite
+        for n_tx in (2, 4, 8, 16):
+            for _ in range(8):
+                cfg = desk_config(n_tx=n_tx,
+                                  power=float(10.0 ** rng.uniform(-1, 2)))
+                a, b = random_pair(rng, n_tx,
+                                   eve_scale=float(10.0 ** rng.uniform(-1, 1)))
+                w, _, _ = sca_solve(a, b, cfg)
+                _, rate_ref = gevd_oracle(a, b, cfg)
+                assert pair_gap(a, b, w, cfg) == pytest.approx(rate_ref, abs=1e-3)
+
 
 def sca_pin_answers() -> dict:
     """Instance key -> sca_solve's rate and converged flag."""

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -579,3 +580,11 @@ class TestPackaging:
         out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["ao", "beamforming", "channel_gen",
+                                        "harness", "model", "onoff", "phases"])
+    def test_exports_exist(self, module):
+        # a name left in __all__ after its definition is deleted breaks
+        # `from irs_secrecy.<module> import *`
+        mod = importlib.import_module(f"irs_secrecy.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

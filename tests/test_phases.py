@@ -12,7 +12,8 @@ from irs_secrecy.phases import (ARMIJO, FIRST_STEP, TOL, _riemannian_ascent,
                                 _wirtinger_gradient, mo_ascend, phase_grid_oracle,
                                 phase_objective_gradient)
 
-from conftest import desk_config, random_channels, random_solution, rate_at_phases
+from conftest import (desk_config, fd_angle_gradient, random_channels,
+                      random_solution, rate_at_phases, user_aligned_phases)
 
 
 def joint_refine(ch, sol, cfg):
@@ -47,6 +48,20 @@ class TestGradient:
         sol = random_solution(rng, cfg)
         g = phase_objective_gradient(same, sol, cfg)
         assert np.max(np.abs(g)) < 1e-12
+
+    def test_matches_finite_differences(self, rng):
+        # angle-space derivative of the objective is 2 Im(g conj(theta))
+        for _ in range(10):
+            cfg = desk_config(n_tx=4, n_refl=3, n_irs=2,
+                              noise_eve=float(10.0 ** rng.uniform(-0.3, 0.3)))
+            ch = random_channels(rng, cfg)
+            sol = random_solution(rng, cfg, all_on=False)
+            g = phase_objective_gradient(ch, sol, cfg)
+            analytic = 2.0 * np.imag(g * np.conj(sol.phases))
+            numeric = fd_angle_gradient(ch, sol, cfg)
+            rel = (np.linalg.norm(numeric - analytic)
+                   / max(np.linalg.norm(numeric), 1e-300))
+            assert rel < 1e-6
 
     def test_inactive_blocks_have_zero_gradient(self, rng):
         cfg = desk_config(n_tx=3, n_refl=2, n_irs=3)
@@ -105,6 +120,21 @@ class TestMoAscend:
         phases, _ = ascend(ch, sol, cfg)
         assert np.array_equal(phases[2:], sol.phases[2:])
         assert not np.array_equal(phases[:2], sol.phases[:2])
+
+    def test_matches_grid_oracle_small(self, rng):
+        # the 50-instance sweep at resolution 720 lives in the acceptance
+        # suite; this is the same check at module scale
+        for _ in range(8):
+            cfg = desk_config(n_tx=4, n_refl=2, n_irs=1,
+                              noise_eve=float(10.0 ** rng.uniform(-0.3, 0.3)))
+            ch = random_channels(rng, cfg)
+            sol = random_solution(rng, cfg)
+            aligned = SolutionState(beamformer=sol.beamformer,
+                                    phases=user_aligned_phases(ch, sol),
+                                    onoff=sol.onoff)
+            _, trace = mo_ascend(ch, aligned, cfg)
+            _, best = phase_grid_oracle(ch, aligned, cfg, resolution=720)
+            assert trace[-1] >= best - 1e-3
 
 
 def angle_gradient(theta, c, d, cfg):
