@@ -15,39 +15,26 @@ the Wirtinger gradient g alone; the angle gradient 2 Im(g conj(theta)) is the
 Riemannian gradient in angle coordinates.
 
 One ascent engine, with one stopping rule (take no step predicted to gain
-under TOL bits), serves two value functions: `mo_ascend` ascends the objective
-above with the beamformer held fixed, and the joint refinement in `ao` (the AO
-round's phase block) ascends its envelope over the closed-form beamformer.
-Both hand the engine evaluate and gradient functions; it takes gradients at
-accepted points only and returns the last such point.
+under TOL bits), serves two value functions: `reference.phases` ascends the
+objective above with the beamformer held fixed, and the joint refinement in
+`ao` (the AO round's phase block) ascends its envelope over the closed-form
+beamformer. Both hand the engine evaluate and gradient functions; it takes
+gradients at accepted points only and returns the last such point.
 """
 
 from collections import deque
 
 import numpy as np
 
-from .model import LN2, ChannelSet, SolutionState, SystemConfig, gain_gap
+from .model import LN2
 
-__all__ = [
-    "phase_objective_gradient",
-    "mo_ascend",
-    "phase_grid_oracle",
-]
+__all__ = ["ARMIJO", "MAX_ITER", "TOL", "MEMORY", "FIRST_STEP"]
 
-GRID_MAX_ELEMENTS = 4
 ARMIJO = 1e-4
 MAX_ITER = 2000
 TOL = 1e-12
 MEMORY = 8          # L-BFGS curvature pairs
 FIRST_STEP = 0.1    # largest angle move (rad) of a step without curvature pairs
-
-
-def _active_stacks(ch: ChannelSet, sol: SolutionState):
-    """Per-element amplitudes c, d of the switched-on elements, and their
-    indices in the stacked phase vector."""
-    act = np.flatnonzero(np.repeat(sol.onoff, ch.n_refl))
-    return (ch.cascade_user[act] @ sol.beamformer,
-            ch.cascade_eve[act] @ sol.beamformer, act)
 
 
 def _wirtinger_gradient(theta, c, d, cfg):
@@ -127,60 +114,3 @@ def _riemannian_ascent(theta, evaluate, gradient):
         theta, value, state = trial, trial_value, trial_state
         trace.append(value)
     return theta, np.asarray(trace)
-
-
-def phase_objective_gradient(ch: ChannelSet, sol: SolutionState,
-                             cfg: SystemConfig) -> np.ndarray:
-    """Wirtinger gradient g of the phase objective (w.r.t. the conjugate
-    phases), zero on the switched-off surfaces. The angle gradient is
-    2 Im(g conj(theta)); at the closed-form beamformer of the phases it is
-    also the gradient of the envelope max_w rate (Danskin)."""
-    c, d, act = _active_stacks(ch, sol)
-    g = np.zeros(len(sol.phases), dtype=complex)
-    g[act] = _wirtinger_gradient(sol.phases[act], c, d, cfg)
-    return g
-
-
-def mo_ascend(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig):
-    """Ascend the phase objective with the beamformer fixed.
-
-    Starts from sol.phases (must be unit modulus) and moves only the
-    switched-on elements. Returns (phases, trace) with a non-decreasing
-    trace of objective values.
-    """
-    c, d, act = _active_stacks(ch, sol)
-    phases = np.array(sol.phases, dtype=complex)
-    phases[act], trace = _riemannian_ascent(
-        phases[act],
-        lambda theta: (gain_gap(abs(np.sum(theta * c)) ** 2,
-                                abs(np.sum(theta * d)) ** 2, cfg), None),
-        lambda theta, _: _wirtinger_gradient(theta, c, d, cfg))
-    return phases, trace
-
-
-def phase_grid_oracle(ch: ChannelSet, sol: SolutionState, cfg: SystemConfig,
-                      resolution: int):
-    """Exhaustive grid search over the active elements' phase angles.
-
-    Only usable when at most four elements are active; all inactive phases
-    stay frozen at their current values. Returns (phases, objective) for the
-    best grid point on the [0, 2pi)^k lattice with `resolution` points per
-    axis; with no active element that is the phases unchanged and 0.0.
-    """
-    c, d, act = _active_stacks(ch, sol)
-    k = len(act)
-    if k > GRID_MAX_ELEMENTS:
-        raise ValueError(f"grid oracle limited to {GRID_MAX_ELEMENTS} active elements")
-    theta = np.array(sol.phases, dtype=complex)
-    angles = 2.0 * np.pi * np.arange(resolution) / resolution
-    ring = np.exp(1j * angles)
-    axes = np.ix_(*[ring] * k)
-    zero = np.zeros((resolution,) * k, dtype=complex)
-    u_grid = sum((c_i * axis for c_i, axis in zip(c, axes)), zero)
-    e_grid = sum((d_i * axis for d_i, axis in zip(d, axes)), zero)
-    values = (np.log1p(np.abs(u_grid) ** 2 / cfg.noise_user)
-              - np.log1p(np.abs(e_grid) ** 2 / cfg.noise_eve)) / LN2
-    flat_best = int(np.argmax(values))
-    best_idx = np.unravel_index(flat_best, values.shape)
-    theta[act] = ring[list(best_idx)]
-    return theta, float(values[best_idx])

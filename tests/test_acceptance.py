@@ -11,15 +11,16 @@ import time
 import numpy as np
 
 from irs_secrecy.ao import ao_solve
-from irs_secrecy.beamforming import gevd_oracle, sca_solve
+from irs_secrecy.beamforming import gevd_oracle
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.harness import run_experiment
 from irs_secrecy.model import SolutionState, SystemConfig, secrecy_rate
-from irs_secrecy.onoff import (brute_force_onoff, dinkelbach_solve,
-                               quadratic_expansion, quadratic_value,
-                               ratio_coefficients)
-from irs_secrecy.phases import (mo_ascend, phase_grid_oracle,
-                                phase_objective_gradient)
+from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
+from irs_secrecy.reference.beamforming import sca_solve
+from irs_secrecy.reference.onoff import (brute_force_onoff, quadratic_expansion,
+                                         quadratic_value)
+from irs_secrecy.reference.phases import (mo_ascend, phase_grid_oracle,
+                                          phase_objective_gradient)
 
 from conftest import (desk_config, fd_angle_gradient, pair_gap, random_channels,
                       random_coefficients, random_solution, user_aligned_phases)

@@ -26,7 +26,8 @@ import pytest
 from irs_secrecy import ao, harness
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import dbm_to_watt
-from irs_secrecy.phases import MAX_ITER, phase_objective_gradient
+from irs_secrecy.phases import MAX_ITER
+from irs_secrecy.reference.phases import phase_objective_gradient
 
 PINS = Path(__file__).resolve().parent / "data" / "answer_pins.json"
 SEED = 4242

@@ -6,12 +6,14 @@ import pytest
 from irs_secrecy import ao, harness
 from irs_secrecy import phases as phases_module
 from irs_secrecy.ao import ao_solve, user_aligned_state
-from irs_secrecy.beamforming import gevd_oracle, sca_solve
+from irs_secrecy.beamforming import gevd_oracle
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import (ChannelSet, SystemConfig, dbm_to_watt,
                                effective_channels, rate_gap)
 from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
-from irs_secrecy.phases import MAX_ITER, mo_ascend, phase_objective_gradient
+from irs_secrecy.phases import MAX_ITER
+from irs_secrecy.reference.beamforming import sca_solve
+from irs_secrecy.reference.phases import mo_ascend, phase_objective_gradient
 
 from conftest import desk_config, pair_gap, random_channels, random_solution
 
@@ -184,6 +186,44 @@ class TestJointRefine:
             assert trace[-1] >= best - 1e-3, f"instance {k}"
 
 
+def metamorphic_settings():
+    """(layout, config) at 0, 20 and 40 dBm on the reference layout and on 8
+    surfaces of 4 elements in a row with the eavesdropper 5 m below surface
+    5 (test_answer_pins' eve_below_surface geometry)."""
+    base, _ = harness.load_config(None)
+    pos = np.column_stack([np.zeros(8), np.linspace(20.0, 60.0, 8), np.full(8, 20.0)])
+    row = replace(base, n_irs=8, n_refl=4, irs_positions=pos,
+                  eve_position=np.array([0.0, 20.0 + 40.0 * 5 / 7, 15.0]))
+    return [(layout, replace(cfg, power_budget=dbm_to_watt(power_dbm)))
+            for layout, cfg in (("reference", base), ("eve_below_surface", row))
+            for power_dbm in (0.0, 20.0, 40.0)]
+
+
+def validated_solve(ch, cfg):
+    """ao_solve's final rate and on/off, after checking its answer."""
+    sol, trace = ao_solve(ch, cfg)
+    sol.validate(cfg)
+    return trace[-1], sol.onoff
+
+
+def channel_map(ch, fn):
+    """ChannelSet of fn applied to each of ch's three channel arrays."""
+    return ChannelSet(g_ap_irs=fn(ch.g_ap_irs), h_irs_user=fn(ch.h_irs_user),
+                      g_irs_eve=fn(ch.g_irs_eve))
+
+
+@pytest.fixture(scope="module")
+def metamorphic_solves():
+    """(layout, trial, cfg, ch, rate, onoff) for seed 6161, trials 0-4, on
+    every metamorphic setting."""
+    solves = []
+    for layout, cfg in metamorphic_settings():
+        for trial in range(5):
+            ch = gen_channels(cfg, harness._stream(6161, trial, 0))
+            solves.append((layout, trial, cfg, ch, *validated_solve(ch, cfg)))
+    return solves
+
+
 class TestProperties:
     def test_scale_invariance(self, rng):
         # last-hop channels x k scale both effective channels by k; noise
@@ -198,6 +238,37 @@ class TestProperties:
                             noise_eve=cfg.noise_eve * k * k)
             _, trace_k = ao_solve(ch_k, cfg_k)
             assert abs(trace_k[-1] - trace[-1]) <= 1e-12
+
+    def test_relabelling_the_surfaces(self, metamorphic_solves):
+        # the rate is a function of the set of surfaces, not of their order,
+        # and the on/off pattern follows its surfaces
+        for layout, trial, cfg, ch, rate, onoff in metamorphic_solves:
+            perm = np.random.default_rng(trial).permutation(cfg.n_irs)
+            rate_p, onoff_p = validated_solve(
+                channel_map(ch, lambda v: v[perm]),
+                replace(cfg, irs_positions=cfg.irs_positions[perm]))
+            assert abs(rate_p - rate) <= 1e-12, (layout, trial)
+            np.testing.assert_array_equal(onoff_p, onoff[perm])
+
+    def test_conjugating_the_channels(self, metamorphic_solves):
+        # conjugate channels are served by the conjugate (w, theta) at the
+        # same gains
+        for layout, trial, cfg, ch, rate, _ in metamorphic_solves:
+            rate_c, _ = validated_solve(channel_map(ch, np.conj), cfg)
+            assert abs(rate_c - rate) <= 1e-12, (layout, trial)
+
+    def test_a_zero_surface_ends_switched_off(self, metamorphic_solves):
+        # a surface with all-zero channels adds nothing to either receiver
+        for layout, trial, cfg, ch, rate, _ in metamorphic_solves:
+            if layout != "reference":
+                continue
+            cfg_z = replace(cfg, n_irs=cfg.n_irs + 1, irs_positions=np.vstack(
+                [cfg.irs_positions, [0.0, 80.0, 20.0]]))
+            rate_z, onoff_z = validated_solve(
+                channel_map(ch, lambda v: np.concatenate([v, np.zeros_like(v[:1])])),
+                cfg_z)
+            assert abs(rate_z - rate) <= 1e-12, trial
+            assert onoff_z[-1] == 0, trial
 
     @pytest.mark.parametrize("power_dbm", [-30.0, 0.0, 60.0, 90.0])
     def test_extreme_powers(self, rng, power_dbm):

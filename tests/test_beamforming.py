@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irs_secrecy.beamforming import (LOG2E, _pencil_rate, gevd_oracle, sca_solve,
-                                     sca_subproblem)
+from irs_secrecy.beamforming import _pencil_rate, gevd_oracle
+from irs_secrecy.reference.beamforming import LOG2E, sca_solve, sca_subproblem
 from conftest import desk_config, pair_gap
 
 # sca_solve's answers on SCA_PIN_SEED's pencil_instances, 10 per class: rate

@@ -10,8 +10,9 @@ import pytest
 import irs_secrecy
 
 PACKAGE = Path(irs_secrecy.__file__).parent
-MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)])
-                 if m.name != "__main__")
+MODULES = sorted(m.name.removeprefix("irs_secrecy.") for m in
+                 pkgutil.walk_packages([str(PACKAGE)], prefix="irs_secrecy.")
+                 if m.name != "irs_secrecy.__main__")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -580,6 +581,31 @@ class TestPackaging:
         out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_reference_is_imported_by_no_production_module_and_ships(self):
+        # reference modules certify the production path and import from it,
+        # never the reverse; the package __init__ re-exports them. ao's two
+        # benchmark bindings are the one exception, named here so that the
+        # change which drops them drops them here too.
+        src = Path(__file__).resolve().parents[1] / "src"
+        bound = set()
+        for path in sorted((src / "irs_secrecy").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module or ''}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                bound |= {(path.stem, n) for n in names
+                          if "reference" in n.split(".")}
+        assert bound == {("ao", "reference.beamforming.sca_solve"),
+                         ("ao", "reference.phases.mo_ascend")}
+        # a subpackage without __init__.py would leave the wheel without it
+        setuptools = pytest.importorskip("setuptools")
+        assert "irs_secrecy.reference" in setuptools.find_packages(str(src))
 
     @pytest.mark.parametrize("module", ["ao", "beamforming", "channel_gen",
                                         "harness", "model", "onoff", "phases"])

@@ -7,9 +7,9 @@ import pytest
 import irs_secrecy.model as model
 from irs_secrecy.channel_gen import gen_channels
 from irs_secrecy.model import SystemConfig
-from irs_secrecy.onoff import (brute_force_onoff, dinkelbach_solve,
-                               quadratic_expansion, quadratic_value,
-                               ratio_coefficients, ratio_value)
+from irs_secrecy.onoff import dinkelbach_solve, ratio_coefficients
+from irs_secrecy.reference.onoff import (brute_force_onoff, quadratic_expansion,
+                                         quadratic_value, ratio_value)
 
 from conftest import (desk_config, random_channels, random_coefficients,
                       random_solution)

@@ -9,8 +9,9 @@ from irs_secrecy import ao
 from irs_secrecy import phases as phases_module
 from irs_secrecy.model import SolutionState, rate_gap
 from irs_secrecy.phases import (ARMIJO, FIRST_STEP, TOL, _riemannian_ascent,
-                                _wirtinger_gradient, mo_ascend, phase_grid_oracle,
-                                phase_objective_gradient)
+                                _wirtinger_gradient)
+from irs_secrecy.reference.phases import (mo_ascend, phase_grid_oracle,
+                                          phase_objective_gradient)
 
 from conftest import (desk_config, fd_angle_gradient, random_channels,
                       random_solution, rate_at_phases, user_aligned_phases)
