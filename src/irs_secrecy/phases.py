@@ -7,9 +7,11 @@ d = R_e w for the cascade rows R_u, R_e of the ChannelSet. The unclamped rate
 difference `model.gain_gap(|u|^2, |e|^2)` is ascended over the product of
 unit circles by L-BFGS in the angle coordinates phi, theta = exp(i phi): the
 product of circles is then a flat torus, where the exponential map is exact
-and parallel transport is the identity, so the plain two-loop recursion is
-Riemannian L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 8; Huang, Gallivan &
-Absil 2015). Steps pass an Armijo backtracking test. Switched-off surfaces
+and parallel transport is the identity, so plain L-BFGS is Riemannian
+L-BFGS (Absil, Mahony & Sepulchre 2008, ch. 8; Huang, Gallivan & Absil
+2015). The inverse-Hessian product uses the compact form of Byrd, Nocedal &
+Schnabel (1994), whose small matrices gain one row and column per curvature
+pair. Steps pass an Armijo backtracking test. Switched-off surfaces
 have exactly zero gradient and their phases are held frozen. The gradient is
 the Wirtinger gradient g alone; the angle gradient 2 Im(g conj(theta)) is the
 Riemannian gradient in angle coordinates.
@@ -21,8 +23,6 @@ objective above with the beamformer held fixed, and the joint refinement in
 beamformer. Both hand the engine evaluate and gradient functions; it takes
 gradients at accepted points only and returns the last such point.
 """
-
-from collections import deque
 
 import numpy as np
 
@@ -47,24 +47,58 @@ def _wirtinger_gradient(theta, c, d, cfg):
     return np.conj(k_u * c - k_e * d)
 
 
-def _lbfgs_direction(r, pairs):
-    """Two-loop product H r of the angle gradient r with the L-BFGS inverse
-    Hessian of the pairs (s, y, 1 / s.y), oldest first, scaled by H0 =
-    s.y / y.y of the newest pair, or by FIRST_STEP / max|r| with no pairs."""
-    q = r.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)   # Python floats: numpy scalars cost more
-        q -= alpha * y
-        alphas.append(alpha)
-    if pairs:
-        s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
-    else:
-        q *= FIRST_STEP / np.max(np.abs(r))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
-    return q
+class _Memory:
+    """The last MEMORY curvature pairs (s, y) in the compact form of Byrd,
+    Nocedal & Schnabel (1994). The k-th pair kept lives in slot k mod
+    MEMORY: a row of S and of Y (stacked as z = [S; Y]), and a row and
+    column of R^-1, of the Gram matrix Y Y^T and of d = diag(S Y^T), where R
+    is the upper triangle of S Y^T in age order (R_ij = s_i.y_j for pair i
+    no newer than pair j). Empty slots hold zeros, so they add nothing to
+    any product. A pair writes its slot's row and column, after zeroing the
+    oldest pair's there at capacity: the oldest pair leads R's triangle, so
+    R^-1 without its row and column is the inverse of R without that pair.
+    """
+
+    def __init__(self, n):
+        self.count = 0
+        self.z = np.zeros((2 * MEMORY, n))
+        self.r_inv = np.zeros((MEMORY, MEMORY))
+        self.yy = np.zeros((MEMORY, MEMORY))
+        self.d = np.zeros(MEMORY)
+        self.gamma = 0.0    # s.y / y.y of the newest pair
+
+    def __len__(self):
+        return min(self.count, MEMORY)
+
+    def add(self, s, y, sy):
+        """Keep the pair (s, y), sy = s.y > 0, in place of the oldest at
+        capacity."""
+        k = self.count % MEMORY
+        self.count += 1
+        self.z[k], self.z[MEMORY + k] = s, y
+        zy = self.z @ y     # s_i.y, then y_i.y
+        self.r_inv[k] = self.r_inv[:, k] = 0.0
+        column = self.r_inv @ zy[:MEMORY] * (-1.0 / sy)
+        column[k] = 1.0 / sy
+        self.r_inv[:, k] = column
+        self.yy[k] = self.yy[:, k] = zy[MEMORY:]
+        self.d[k] = sy
+        self.gamma = sy / zy[MEMORY + k]
+
+
+def _lbfgs_direction(r, memory):
+    """Product H r of the angle gradient r with the L-BFGS inverse Hessian of
+    the memory's pairs from H0 = gamma I, in compact form:
+    H r = gamma r + S^T t - gamma Y^T q, with q = R^-1 S r and
+    t = R^-T ((D + gamma Y Y^T) q - gamma Y r). With no pairs, r scaled by
+    FIRST_STEP / max|r|."""
+    if not memory:
+        return r * (FIRST_STEP / np.max(np.abs(r)))
+    gamma = memory.gamma
+    sr_yr = memory.z @ r
+    q = memory.r_inv @ sr_yr[:MEMORY]
+    t = (memory.d * q + gamma * (memory.yy @ q - sr_yr[MEMORY:])) @ memory.r_inv
+    return gamma * r + np.concatenate((t, -gamma * q)) @ memory.z
 
 
 def _riemannian_ascent(theta, evaluate, gradient):
@@ -86,7 +120,7 @@ def _riemannian_ascent(theta, evaluate, gradient):
     """
     value, state = evaluate(theta)
     trace = [value]
-    pairs = deque(maxlen=MEMORY)
+    memory = _Memory(len(theta))
     r_prev = None
     while True:
         r = 2.0 * np.imag(gradient(theta, state) * np.conj(theta))
@@ -96,8 +130,8 @@ def _riemannian_ascent(theta, evaluate, gradient):
             s, y = step * direction, r_prev - r
             sy = float(s @ y)
             if sy > 0.0:
-                pairs.append((s, y, 1.0 / sy))
-        direction = _lbfgs_direction(r, pairs)
+                memory.add(s, y, sy)
+        direction = _lbfgs_direction(r, memory)
         slope = float(r @ direction)
         if slope < TOL:
             break

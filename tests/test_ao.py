@@ -186,16 +186,22 @@ class TestJointRefine:
             assert trace[-1] >= best - 1e-3, f"instance {k}"
 
 
-def metamorphic_settings():
-    """(layout, config) at 0, 20 and 40 dBm on the reference layout and on 8
-    surfaces of 4 elements in a row with the eavesdropper 5 m below surface
-    5 (test_answer_pins' eve_below_surface geometry)."""
+def eve_below_surface():
+    """8 surfaces of 4 elements in a row with the eavesdropper 5 m below
+    surface 5 (test_answer_pins' eve_below_surface geometry)."""
     base, _ = harness.load_config(None)
     pos = np.column_stack([np.zeros(8), np.linspace(20.0, 60.0, 8), np.full(8, 20.0)])
-    row = replace(base, n_irs=8, n_refl=4, irs_positions=pos,
-                  eve_position=np.array([0.0, 20.0 + 40.0 * 5 / 7, 15.0]))
+    return replace(base, n_irs=8, n_refl=4, irs_positions=pos,
+                   eve_position=np.array([0.0, 20.0 + 40.0 * 5 / 7, 15.0]))
+
+
+def metamorphic_settings():
+    """(layout, config) at 0, 20 and 40 dBm on the reference layout and on
+    eve_below_surface."""
+    base, _ = harness.load_config(None)
     return [(layout, replace(cfg, power_budget=dbm_to_watt(power_dbm)))
-            for layout, cfg in (("reference", base), ("eve_below_surface", row))
+            for layout, cfg in (("reference", base),
+                                ("eve_below_surface", eve_below_surface()))
             for power_dbm in (0.0, 20.0, 40.0)]
 
 
@@ -215,12 +221,17 @@ def channel_map(ch, fn):
 @pytest.fixture(scope="module")
 def metamorphic_solves():
     """(layout, trial, cfg, ch, rate, onoff) for seed 6161, trials 0-4, on
-    every metamorphic setting."""
+    every metamorphic setting, then for eve_below_surface's answer pins at
+    seed 4242, trials 1, 2 and 4, whose on/off switches surface 5 off (none
+    of the others switches a surface off)."""
+    instances = [(layout, cfg, 6161, trial) for layout, cfg in metamorphic_settings()
+                 for trial in range(5)]
+    instances += [("eve_below_surface", eve_below_surface(), 4242, trial)
+                  for trial in (1, 2, 4)]
     solves = []
-    for layout, cfg in metamorphic_settings():
-        for trial in range(5):
-            ch = gen_channels(cfg, harness._stream(6161, trial, 0))
-            solves.append((layout, trial, cfg, ch, *validated_solve(ch, cfg)))
+    for layout, cfg, seed, trial in instances:
+        ch = gen_channels(cfg, harness._stream(seed, trial, 0))
+        solves.append((layout, trial, cfg, ch, *validated_solve(ch, cfg)))
     return solves
 
 
@@ -241,7 +252,9 @@ class TestProperties:
 
     def test_relabelling_the_surfaces(self, metamorphic_solves):
         # the rate is a function of the set of surfaces, not of their order,
-        # and the on/off pattern follows its surfaces
+        # and the on/off pattern follows its surfaces; a mis-permuted
+        # pattern shows only where the permutation moves an off surface
+        moved = 0
         for layout, trial, cfg, ch, rate, onoff in metamorphic_solves:
             perm = np.random.default_rng(trial).permutation(cfg.n_irs)
             rate_p, onoff_p = validated_solve(
@@ -249,6 +262,8 @@ class TestProperties:
                 replace(cfg, irs_positions=cfg.irs_positions[perm]))
             assert abs(rate_p - rate) <= 1e-12, (layout, trial)
             np.testing.assert_array_equal(onoff_p, onoff[perm])
+            moved += not np.array_equal(onoff[perm], onoff)
+        assert moved
 
     def test_conjugating_the_channels(self, metamorphic_solves):
         # conjugate channels are served by the conjugate (w, theta) at the

@@ -8,8 +8,8 @@ import pytest
 from irs_secrecy import ao
 from irs_secrecy import phases as phases_module
 from irs_secrecy.model import SolutionState, rate_gap
-from irs_secrecy.phases import (ARMIJO, FIRST_STEP, TOL, _riemannian_ascent,
-                                _wirtinger_gradient)
+from irs_secrecy.phases import (ARMIJO, FIRST_STEP, MEMORY, TOL,
+                                _riemannian_ascent, _wirtinger_gradient)
 from irs_secrecy.reference.phases import (mo_ascend, phase_grid_oracle,
                                           phase_objective_gradient)
 
@@ -142,6 +142,18 @@ def angle_gradient(theta, c, d, cfg):
     return 2.0 * np.imag(_wirtinger_gradient(theta, c, d, cfg) * np.conj(theta))
 
 
+def dense_inverse_hessian(pairs):
+    """The BFGS inverse Hessian of the pairs (s, y), oldest first, built
+    densely from H0 = s.y / y.y of the newest pair."""
+    s, y = pairs[-1]
+    eye = np.eye(len(s))
+    h = (s @ y) / (y @ y) * eye
+    for s, y in pairs:
+        v = eye - np.outer(s, y) / (s @ y)
+        h = v @ h @ v.T + np.outer(s, s) / (s @ y)
+    return h
+
+
 def scripted_ascent(theta, values, amplitudes, cfg):
     """Run the engine on scripted values (then -1.0 forever) and scripted
     amplitudes; returns every trial point it evaluated, start first."""
@@ -217,11 +229,7 @@ class TestAscentEngine:
             s, y = p, r - r_new
             assert s @ y > 0.0      # every pair is kept on this script
             pairs.append((s, y))
-            h = (s @ y) / (y @ y) * np.eye(6)
-            for s, y in pairs:
-                v = np.eye(6) - np.outer(s, y) / (s @ y)
-                h = v @ h @ v.T + np.outer(s, s) / (s @ y)
-            r, p = r_new, h @ r_new
+            r, p = r_new, dense_inverse_hessian(pairs) @ r_new
             assert r @ p > 0.0      # and no direction restarts
         expected.append(theta * np.exp(1j * p))
         slope, steepest = r @ p, r @ r
@@ -233,6 +241,54 @@ class TestAscentEngine:
         np.testing.assert_allclose(points[1:6], expected, rtol=0.0, atol=1e-12)
         halved = theta * np.exp(0.5j * p)
         assert np.allclose(points[6], halved, rtol=0.0, atol=1e-12) == (slope > steepest)
+
+    def test_directions_past_the_memory_use_the_last_pairs(self):
+        # Scripted angle gradients for MEMORY + 4 accepted steps: the k-th
+        # trial must be theta_k exp(i p_k) with p_k = H_k r_k, H_k the dense
+        # BFGS inverse Hessian of the last MEMORY pairs kept, so the oldest
+        # pairs are dropped three times. Each new gradient is r - B s for a
+        # random B with eigenvalues in [0.5, 2], so y = B s and s.y > 0, but
+        # one, r + s, whose pair has s.y < 0: the engine must skip it, and
+        # keeping it would change the next direction.
+        rng = np.random.default_rng(29)
+        n, steps, bad = 12, MEMORY + 4, 5
+        theta0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        grads = [rng.standard_normal(n)]
+        p = grads[0] * (FIRST_STEP / np.max(np.abs(grads[0])))
+        theta, expected, kept = theta0, [], []
+        for k in range(steps):
+            theta = theta * np.exp(1j * p)
+            expected.append(theta)
+            s, r = p, grads[-1]
+            if k == bad:
+                r_new = r + s
+            else:
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                r_new = r - q @ (rng.uniform(0.5, 2.0, n) * (q.T @ s))
+            y = r - r_new
+            if k == bad:
+                assert s @ y < 0.0
+                p_with_bad = dense_inverse_hessian(kept[1 - MEMORY:] + [(s, y)]) @ r_new
+            else:
+                kept.append((s, y))
+            grads.append(r_new)
+            p = dense_inverse_hessian(kept[-MEMORY:]) @ r_new
+            assert r_new @ p > TOL      # and no direction stops the ascent
+            if k == bad:
+                assert not np.allclose(p_with_bad, p, rtol=0.1, atol=0.0)
+        assert len(kept) == MEMORY + 3
+        expected.append(theta * np.exp(1j * p))
+        gradients, values, points = iter(grads), iter(range(steps + 1)), []
+
+        def evaluate(trial):
+            points.append(trial)
+            return 1e6 * next(values, -1), None
+
+        # r = 2 Im(g conj(theta)) gives back the scripted gradient
+        _riemannian_ascent(theta0, evaluate,
+                           lambda t, state: 0.5j * next(gradients) * t)
+        assert next(gradients, None) is None
+        np.testing.assert_allclose(points[1:steps + 2], expected, rtol=0.0, atol=1e-12)
 
     def test_first_step_moves_the_largest_angle_by_a_fixed_amount(self):
         # The gradients of the two instances differ by a factor of about 1e6;
@@ -303,9 +359,9 @@ class TestAscentEngine:
         # ascent where the gradient was taken, with no restart.
         lbfgs, stored = phases_module._lbfgs_direction, []
 
-        def descending(r, pairs):
-            stored.append(len(pairs))
-            return -r if pairs else lbfgs(r, pairs)
+        def descending(r, memory):
+            stored.append(len(memory))
+            return -r if memory else lbfgs(r, memory)
 
         monkeypatch.setattr(phases_module, "_lbfgs_direction", descending)
         theta, trace, seen, log = rising_ascent(desk_config(noise_eve=0.5), 1.0)
