@@ -20,6 +20,11 @@ trial point costs one product with the switched-on cascade rows, three inner
 products and a scalar root (`beamforming._pencil_rate`); the closed-form
 beamformer is built at accepted points only, where the gradient needs it,
 and the refine ends at the last, before any step worth < `phases.TOL` bits.
+
+Between two refines only the on/off block can move the state, and the
+refine is a function of the phases and the on/off pattern. So a round whose
+on/off block keeps the selection the last refine ran with skips the refine,
+which would restart from its own stopping point.
 """
 
 import math
@@ -111,11 +116,13 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig):
     """Cycle the block solvers until the secrecy rate stabilizes.
 
     The warm start's beamformer is first re-matched in closed form to its
-    phases; each round then runs the on/off block and the joint refinement.
-    Stops when a full round improves the rate by less than ROUND_TOL bits or
-    after MAX_ROUNDS rounds, returning (solution, trace) with trace[k] the
-    clamped secrecy rate after round k (entry 0 is the warm start). The
-    best-so-far solution is returned on budget exhaustion.
+    phases; each round then runs the on/off block and, unless the selection
+    is the one the last refinement ran with, the joint refinement. A round
+    without a refinement still counts, with its unchanged rate. Stops when a
+    full round improves the rate by less than ROUND_TOL bits or after
+    MAX_ROUNDS rounds, returning (solution, trace) with trace[k] the clamped
+    secrecy rate after round k (entry 0 is the warm start). The best-so-far
+    solution is returned on budget exhaustion.
     """
     sol = user_aligned_state(ch, cfg)
     gap = rate_gap(ch, sol, cfg)
@@ -130,11 +137,14 @@ def ao_solve(ch: ChannelSet, cfg: SystemConfig):
             sol, gap = cand, cand_gap
 
     offer(beamformer=gevd_oracle(*effective_channels(ch, sol), cfg)[0])
+    refined = None  # the on/off the last refine ran with
     for _ in range(MAX_ROUNDS):
         x_new, _ = dinkelbach_solve(*ratio_coefficients(ch, sol), cfg)
         offer(onoff=x_new)
-        theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
-        offer(phases=theta_j, beamformer=w_j)
+        if refined is None or not np.array_equal(sol.onoff, refined):
+            refined = sol.onoff
+            theta_j, w_j, _ = _joint_refine(ch, cfg, sol)
+            offer(phases=theta_j, beamformer=w_j)
 
         trace.append(max(0.0, gap))
         if trace[-1] - trace[-2] < ROUND_TOL:

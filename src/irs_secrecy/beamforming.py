@@ -10,8 +10,11 @@ on span{a, b}, and its eigenvector in closed form; used by the joint phase
 refinement.
 
 Because a a^H and b b^H are rank one, every optimal beamformer lives in
-span{a, b}. The closed form reads the norms of the split of b into its part
-along a and the part b_p orthogonal to a (`_split`).
+span{a, b}. The closed form reads the Gram of the pair (`_gram`): ||a||^2,
+b^H a, ||b||^2 and the norm of the part b_p of b orthogonal to a,
+||b_p||^2 = ||b||^2 - |b^H a|^2/||a||^2. Where that difference cancels
+(below 1e-2 ||b||^2), b_p and its norm come from the two-pass split of b
+along a (`_split`).
 """
 
 import math
@@ -57,17 +60,29 @@ def _top_root(norm2_a, norm2_b, norm2_perp, cfg: SystemConfig) -> float:
     return 0.5 * (e + r + m * math.sqrt((d / m) ** 2 + (r / m) * (2.0 * e / m + r / m)))
 
 
+def _gram(a: np.ndarray, b: np.ndarray):
+    """The Gram of the pair: (||a||^2, b^H a, ||b||^2, ||b_p||^2, b_p).
+    ||b_p||^2 = ||b||^2 - |b^H a|^2/||a||^2 cancels the digits of
+    ||b||^2/||b_p||^2: below 1e-2 ||b||^2 it comes from `_split`, with
+    `_split`'s b_p; b_p is None otherwise (and when a = 0, where b_p = b)."""
+    norm2_a = float(np.vdot(a, a).real)
+    b_dot_a = complex(np.vdot(b, a))
+    norm2_b = float(np.vdot(b, b).real)
+    if norm2_a == 0.0:
+        return norm2_a, b_dot_a, norm2_b, norm2_b, None
+    norm2_perp = norm2_b - abs(b_dot_a) ** 2 / norm2_a
+    if norm2_perp >= 1e-2 * norm2_b:
+        return norm2_a, b_dot_a, norm2_b, norm2_perp, None
+    _, _, b_perp, _, norm2_perp = _split(a, b)
+    return norm2_a, b_dot_a, norm2_b, norm2_perp, b_perp
+
+
 def _pencil_rate(a: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
     """The rate `gevd_oracle` reaches on (a, b), or on (conj a, conj b), from
-    their Gram alone. ||b||^2 - |b^H a|^2/||a||^2 cancels the digits of
-    ||b||^2/||b_p||^2: below 1e-2 ||b||^2, ||b_p||^2 comes from `_split`."""
-    norm2_a = float(np.vdot(a, a).real)
+    their Gram alone (`_gram`)."""
+    norm2_a, _, norm2_b, norm2_perp, _ = _gram(a, b)
     if norm2_a == 0.0:
         return 0.0
-    norm2_b = float(np.vdot(b, b).real)
-    norm2_perp = norm2_b - abs(complex(np.vdot(b, a))) ** 2 / norm2_a
-    if norm2_perp < 1e-2 * norm2_b:
-        norm2_perp = _split(a, b)[4]
     lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
     return math.log2(lam) if lam > 1.0 else 0.0
 
@@ -88,11 +103,14 @@ def gevd_oracle(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     a sum of non-negative terms. `_top_root` evaluates the larger root from
     it over 1 + g_b, scaled by its largest term, so no intermediate
     overflows even at noise powers of 1e-300 W. The principal eigenvector,
-    divided through by lam P/s2e, is
+    divided through by lam P/s2e, is, with kappa = (1 - 1/lam) s2e/P,
 
-        u = ((1 - 1/lam) s2e/P + ||b_p||^2) a - (b^H a) b_p,
+        u = (kappa + ||b_p||^2) a - (b^H a) b_p = (kappa + ||b||^2) a - (b^H a) b.
 
-    free of cancellation. Returns (w, rate) with w = sqrt(P) u/||u||, or the
+    The second form needs only the Gram; along a its coefficients cancel to
+    kappa + ||b_p||^2 >= 1e-2 ||b||^2 outside `_gram`'s guard, which costs
+    at most two digits. Under the guard u takes the first form, with
+    `_split`'s b_p. Returns (w, rate) with w = sqrt(P) u/||u||, or the
     zero beamformer with rate 0 when not transmitting is optimal (lam <= 1,
     or the rate w achieves is not positive because lam exceeds 1 only by
     rounding). b counts as parallel to a (b_p = 0) by the threshold of
@@ -100,18 +118,21 @@ def gevd_oracle(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp = _split(a, b)
+    norm2_a, b_dot_a, norm2_b, norm2_perp, b_perp = _gram(a, b)
     lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg) if norm2_a > 0.0 else 1.0
     if lam <= 1.0:
         return np.zeros(len(a), dtype=complex), 0.0
     p_budget = cfg.power_budget
     kappa = (1.0 - 1.0 / lam) * cfg.noise_eve / p_budget
+    if b_perp is None:
+        along, coef_a = b, kappa + norm2_b
+    else:
+        along, coef_a = b_perp, kappa + norm2_perp
     # Both coefficients scale as |channel|^2: divide by the larger one, so
     # that ||u|| neither overflows nor underflows.
-    coef_a = kappa + norm2_perp
     top = max(coef_a, abs(b_dot_a))
-    u = (coef_a / top) * a - (b_dot_a / top) * b_perp
-    scale = math.sqrt(p_budget) / np.linalg.norm(u)
+    u = (coef_a / top) * a - (b_dot_a / top) * along
+    scale = math.sqrt(p_budget / np.vdot(u, u).real)
     w = scale * u
     # b^H u = (kappa/top) b^H a exactly. One correction along b puts the
     # computed leakage back on that value, to rounding; it sets the rate when

@@ -95,6 +95,32 @@ class TestAoSolve:
         sol, trace = ao_solve(ch, cfg)
         assert trace[-1] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("layout, seed, trial, off", [
+        ("reference", 70707, 0, []), ("eve_below_surface", 4242, 1, [5])])
+    def test_refines_each_selection_once(self, layout, seed, trial, off,
+                                         monkeypatch):
+        # Between refines only the on/off block moves the state, so a refine
+        # of the selection the last refine ran with would restart from its
+        # own stopping point: it is skipped, and its round still counts.
+        base, _ = harness.load_config(None)
+        cfg = base if layout == "reference" else eve_below_surface()
+        cfg = replace(cfg, power_budget=dbm_to_watt(30.0))
+        ch = gen_channels(cfg, harness._stream(seed, trial, 0))
+        selections, refine = [], ao._joint_refine
+
+        def counted_refine(ch, cfg, sol):
+            selections.append(sol.onoff.copy())
+            return refine(ch, cfg, sol)
+
+        monkeypatch.setattr(ao, "_joint_refine", counted_refine)
+        sol, trace = ao_solve(ch, cfg)
+        sol.validate(cfg)
+        assert np.all(np.diff(trace) >= 0.0)
+        assert len(trace) - 1 == 2
+        assert len(selections) == 1
+        assert np.array_equal(selections[0], sol.onoff)
+        assert np.flatnonzero(sol.onoff == 0).tolist() == off
+
     def test_block_idempotence_at_convergence(self, monkeypatch):
         monkeypatch.setattr(ao, "ROUND_TOL", 1e-7)
         cfg = SystemConfig()

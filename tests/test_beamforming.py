@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,36 @@ class TestGevdOracle:
                 worst = max(worst, err)
                 assert err <= 1e-12, (kind, value, rate)
         print(f"\nGram rate vs closed form: worst relative diff {worst:.1e}")
+
+    @pytest.mark.parametrize("perp_share", [0.5, 1.01e-2, 0.99e-2, 1e-8, 0.0])
+    def test_both_sides_of_the_cancellation_guard(self, perp_share):
+        """Pairs whose ||b_p||^2/||b||^2 is perp_share: the eigenvector is
+        built from the Gram above 1e-2 and from `_split`'s b_p below it.
+        Full power, the Gram rate, the dense oracle's rate and the scale
+        invariance hold on both sides."""
+        rng = np.random.default_rng(606)
+        for _ in range(20):
+            n_tx = int(rng.choice([2, 4, 8, 16]))
+            cfg = desk_config(n_tx=n_tx, noise_user=float(10.0 ** rng.uniform(-1, 1)),
+                              noise_eve=float(10.0 ** rng.uniform(-1, 1)),
+                              power=float(10.0 ** rng.uniform(-1, 4)))
+            a, v = random_pair(rng, n_tx)
+            a_hat = a / np.linalg.norm(a)
+            q = v - np.vdot(a_hat, v) * a_hat
+            q /= np.linalg.norm(q)
+            # |b|^2/s2e = |a|^2/(4 s2): transmitting pays even when b || a
+            scale = 0.5 * math.sqrt(cfg.noise_eve / cfg.noise_user) * np.linalg.norm(a)
+            b = (scale * np.exp(2j * np.pi * rng.uniform())
+                 * (math.sqrt(1.0 - perp_share) * a_hat + math.sqrt(perp_share) * q))
+            w, rate = gevd_oracle(a, b, cfg)
+            assert rate > 0.0
+            assert abs(np.vdot(w, w).real - cfg.power_budget) <= 1e-12 * cfg.power_budget
+            assert rate >= _pencil_rate(a, b, cfg) - 1e-12 * abs(rate)
+            assert rate >= scipy_pencil_reference(a, b, cfg)[1] - 1e-9 * abs(rate)
+            for k in (1e-60, 1e30):
+                cfg_k = replace(cfg, noise_user=cfg.noise_user * k * k,
+                                noise_eve=cfg.noise_eve * k * k)
+                assert abs(gevd_oracle(k * a, k * b, cfg_k)[1] - rate) <= 1e-12 * rate
 
     def test_solution_lives_in_span(self, rng):
         cfg = desk_config(n_tx=8)
