@@ -13,8 +13,8 @@ Because a a^H and b b^H are rank one, every optimal beamformer lives in
 span{a, b}. The closed form reads the Gram of the pair (`_gram`): ||a||^2,
 b^H a, ||b||^2 and the norm of the part b_p of b orthogonal to a,
 ||b_p||^2 = ||b||^2 - |b^H a|^2/||a||^2. Where that difference cancels
-(below 1e-2 ||b||^2), b_p and its norm come from the two-pass split of b
-along a (`_split`).
+(below 1e-2 ||b||^2), `_gram` also forms b_p in two passes and takes its
+norm from it.
 """
 
 import math
@@ -26,28 +26,12 @@ from .model import SystemConfig, _pair_gap
 __all__ = ["gevd_oracle"]
 
 
-def _split(a: np.ndarray, b: np.ndarray):
-    """Split b along a: (||a||^2, b^H a, b_p, ||b||^2, ||b_p||^2) with b_p
-    the part of b orthogonal to a (b itself when a = 0). A second pass keeps
-    b_p orthogonal to a to rounding when b is nearly parallel to a, which the
-    rate of a closed-form w depends on; b counts as parallel (b_p = 0) when
-    ||b_p|| <= 1e-10 ||b||."""
-    norm2_a = float(np.vdot(a, a).real)
-    b_dot_a = complex(np.vdot(b, a))
-    norm2_b = float(np.vdot(b, b).real)
-    if norm2_a == 0.0:
-        return norm2_a, b_dot_a, b, norm2_b, norm2_b
-    b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
-    b_perp -= (np.vdot(a, b_perp) / norm2_a) * a
-    norm2_perp = float(np.vdot(b_perp, b_perp).real)
-    if norm2_perp <= 1e-20 * norm2_b:
-        norm2_perp, b_perp = 0.0, np.zeros_like(b_perp)
-    return norm2_a, b_dot_a, b_perp, norm2_b, norm2_perp
-
-
 def _top_root(norm2_a, norm2_b, norm2_perp, cfg: SystemConfig) -> float:
     """Larger root of `gevd_oracle`'s quadratic from ||a||^2, ||b||^2 and
-    ||b_p||^2."""
+    ||b_p||^2; 1 when a = 0, where no beamformer reaches the user and
+    sending nothing is optimal."""
+    if norm2_a == 0.0:
+        return 1.0
     p_budget = cfg.power_budget
     g_a = p_budget * norm2_a / cfg.noise_user
     g_b = p_budget * norm2_b / cfg.noise_eve
@@ -63,8 +47,9 @@ def _top_root(norm2_a, norm2_b, norm2_perp, cfg: SystemConfig) -> float:
 def _gram(a: np.ndarray, b: np.ndarray):
     """The Gram of the pair: (||a||^2, b^H a, ||b||^2, ||b_p||^2, b_p).
     ||b_p||^2 = ||b||^2 - |b^H a|^2/||a||^2 cancels the digits of
-    ||b||^2/||b_p||^2: below 1e-2 ||b||^2 it comes from `_split`, with
-    `_split`'s b_p; b_p is None otherwise (and when a = 0, where b_p = b)."""
+    ||b||^2/||b_p||^2: below 1e-2 ||b||^2 it is the norm of b_p formed in
+    two passes along a, orthogonal to a to rounding, and 0 (b_p = 0) when
+    ||b_p|| <= 1e-10 ||b||. b_p is None otherwise (and when a = 0)."""
     norm2_a = float(np.vdot(a, a).real)
     b_dot_a = complex(np.vdot(b, a))
     norm2_b = float(np.vdot(b, b).real)
@@ -73,7 +58,11 @@ def _gram(a: np.ndarray, b: np.ndarray):
     norm2_perp = norm2_b - abs(b_dot_a) ** 2 / norm2_a
     if norm2_perp >= 1e-2 * norm2_b:
         return norm2_a, b_dot_a, norm2_b, norm2_perp, None
-    _, _, b_perp, _, norm2_perp = _split(a, b)
+    b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
+    b_perp -= (np.vdot(a, b_perp) / norm2_a) * a
+    norm2_perp = float(np.vdot(b_perp, b_perp).real)
+    if norm2_perp <= 1e-20 * norm2_b:
+        norm2_perp, b_perp = 0.0, np.zeros_like(b_perp)
     return norm2_a, b_dot_a, norm2_b, norm2_perp, b_perp
 
 
@@ -81,8 +70,6 @@ def _pencil_rate(a: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
     """The rate `gevd_oracle` reaches on (a, b), or on (conj a, conj b), from
     their Gram alone (`_gram`)."""
     norm2_a, _, norm2_b, norm2_perp, _ = _gram(a, b)
-    if norm2_a == 0.0:
-        return 0.0
     lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
     return math.log2(lam) if lam > 1.0 else 0.0
 
@@ -110,16 +97,16 @@ def gevd_oracle(a: np.ndarray, b: np.ndarray, cfg: SystemConfig):
     The second form needs only the Gram; along a its coefficients cancel to
     kappa + ||b_p||^2 >= 1e-2 ||b||^2 outside `_gram`'s guard, which costs
     at most two digits. Under the guard u takes the first form, with
-    `_split`'s b_p. Returns (w, rate) with w = sqrt(P) u/||u||, or the
-    zero beamformer with rate 0 when not transmitting is optimal (lam <= 1,
-    or the rate w achieves is not positive because lam exceeds 1 only by
-    rounding). b counts as parallel to a (b_p = 0) by the threshold of
-    `_split`, which the SCA route shares.
+    `_gram`'s two-pass b_p. Returns (w, rate) with w = sqrt(P) u/||u||, or
+    the zero beamformer with rate 0 when not transmitting is optimal
+    (lam <= 1, or the rate w achieves is not positive because lam exceeds 1
+    only by rounding). b counts as parallel to a (b_p = 0) by the threshold
+    of `_gram`, which the SCA route shares.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     norm2_a, b_dot_a, norm2_b, norm2_perp, b_perp = _gram(a, b)
-    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg) if norm2_a > 0.0 else 1.0
+    lam = _top_root(norm2_a, norm2_b, norm2_perp, cfg)
     if lam <= 1.0:
         return np.zeros(len(a), dtype=complex), 0.0
     p_budget = cfg.power_budget

@@ -33,7 +33,7 @@ __all__ = [
 # Largest surface count: on/off selection enumerates all 2^n_irs patterns.
 MAX_SURFACES = 24
 
-# Feasibility slacks used by SolutionState.validate.
+# Feasibility slacks used by SolutionState.validate; POWER_TOL is relative.
 POWER_TOL = 1e-9
 MODULUS_TOL = 1e-9
 
@@ -227,7 +227,7 @@ class SolutionState:
             if not np.isfinite(entries).all():
                 raise ValueError(f"{name} entries must be finite")
         power = float(np.real(np.vdot(self.beamformer, self.beamformer)))
-        if power > cfg.power_budget + POWER_TOL:
+        if power > cfg.power_budget * (1.0 + POWER_TOL):
             raise ValueError(f"transmit power {power} exceeds budget {cfg.power_budget}")
         if np.max(np.abs(np.abs(self.phases) - 1.0)) > MODULUS_TOL:
             raise ValueError("phase entries must have unit modulus")

@@ -2,7 +2,7 @@
 by the closed form `beamforming.gevd_oracle`: linearize the eavesdropper
 exponential at a moving anchor and solve each convex subproblem exactly, by
 a search over one angle in the coordinates of the orthonormal basis
-(a/||a||, b_p/||b_p||) of the closed form's split (`beamforming._split`).
+(a/||a||, b_p/||b_p||), read from the closed form's Gram (`beamforming._gram`).
 """
 
 import math
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..beamforming import _split
+from ..beamforming import _gram
 from ..model import LN2, SystemConfig, _pair_gap
 
 __all__ = ["ScaIterate", "sca_subproblem", "sca_solve"]
@@ -68,7 +68,7 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
     sigma2, sigma2_e = cfg.noise_user, cfg.noise_eve
     p_budget = cfg.power_budget
 
-    norm2_a, b_dot_a, b_perp, _, norm2_perp = _split(a, b)
+    norm2_a, b_dot_a, _, norm2_perp, b_perp = _gram(a, b)
 
     w = np.zeros(len(a), dtype=complex)
     if norm2_a > 0.0:
@@ -91,6 +91,8 @@ def sca_subproblem(a: np.ndarray, b: np.ndarray, cfg: SystemConfig,
         w = (root_p * math.cos(lo) / norm_a) * a
         # With b1 = 0 the interval is [0, 0] and the phase of b^H a undefined.
         if b1 > 0.0 and b2 > 0.0:
+            if b_perp is None:  # outside the Gram's guard: <= 2 digits cancel
+                b_perp = b - (b_dot_a.conjugate() / norm2_a) * a
             w -= (root_p * math.sin(lo) / (b2 * abs(b_dot_a)) * b_dot_a) * b_perp
 
     t_a = abs(np.vdot(a, w)) ** 2

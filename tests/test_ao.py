@@ -311,7 +311,7 @@ class TestProperties:
             assert abs(rate_z - rate) <= 1e-12, trial
             assert onoff_z[-1] == 0, trial
 
-    @pytest.mark.parametrize("power_dbm", [-30.0, 0.0, 60.0, 90.0])
+    @pytest.mark.parametrize("power_dbm", [-30.0, 0.0, 60.0, 90.0, 150.0])
     def test_extreme_powers(self, rng, power_dbm):
         cfg = desk_config(n_tx=4, n_refl=3, n_irs=2, noise_eve=0.8,
                           power=dbm_to_watt(power_dbm))

@@ -409,9 +409,11 @@ class TestGevdOracle:
     @pytest.mark.parametrize("perp_share", [0.5, 1.01e-2, 0.99e-2, 1e-8, 0.0])
     def test_both_sides_of_the_cancellation_guard(self, perp_share):
         """Pairs whose ||b_p||^2/||b||^2 is perp_share: the eigenvector is
-        built from the Gram above 1e-2 and from `_split`'s b_p below it.
-        Full power, the Gram rate, the dense oracle's rate and the scale
-        invariance hold on both sides."""
+        built from the Gram above 1e-2 and from `_gram`'s two-pass b_p below
+        it, and the SCA route forms b_p in one pass above it. Full power, the
+        Gram rate, the dense oracle's rate and the scale invariance hold on
+        both sides; SCA converges within the budget to the closed form's
+        rate."""
         rng = np.random.default_rng(606)
         for _ in range(20):
             n_tx = int(rng.choice([2, 4, 8, 16]))
@@ -435,6 +437,11 @@ class TestGevdOracle:
                 cfg_k = replace(cfg, noise_user=cfg.noise_user * k * k,
                                 noise_eve=cfg.noise_eve * k * k)
                 assert abs(gevd_oracle(k * a, k * b, cfg_k)[1] - rate) <= 1e-12 * rate
+            w_sca, _, converged = sca_solve(a, b, cfg)
+            rate_sca = pair_gap(a, b, w_sca, cfg)
+            assert converged
+            assert np.vdot(w_sca, w_sca).real <= cfg.power_budget * (1.0 + 1e-12)
+            assert rate - 1e-3 <= rate_sca <= rate + 1e-12 * abs(rate)
 
     def test_solution_lives_in_span(self, rng):
         cfg = desk_config(n_tx=8)
